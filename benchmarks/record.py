@@ -18,8 +18,9 @@ conflict), it is backed up beside itself with a ``.corrupt`` suffix — old
 rows are preserved for manual recovery — and a fresh list is started with a
 warning.
 
-The history is also *consumed*, not just accumulated: :func:`check_regression`
-compares the newest measurement against the trailing median of its
+The history is also *consumed*, not just accumulated: ``check_regression``
+(from :mod:`repro.obs.health`, the one implementation ``repro doctor --bench``
+runs too) compares the newest measurement against the trailing median of its
 predecessors, and ``record(..., guard_tolerance=...)`` appends a
 ``kind="regression_warning"`` row (same atomic write) when the new value has
 drifted past tolerance — so a regression lands in the committed history
@@ -46,12 +47,13 @@ from __future__ import annotations
 
 import json
 import os
-import statistics
 import subprocess
 import tempfile
 import warnings
 from datetime import datetime, timezone
 from pathlib import Path
+
+from repro.obs.health import check_regression, infer_direction
 
 __all__ = [
     "DEFAULT_HISTORY",
@@ -123,73 +125,6 @@ def _load_history(path: Path) -> list:
         stacklevel=3,
     )
     return []
-
-
-def infer_direction(metric: str) -> str:
-    """``"lower"`` or ``"higher"`` — which way is better, from the name.
-
-    Time-ish metrics (latency, seconds, ``_ms`` suffixes, overhead ratios)
-    regress upward; throughput-ish metrics (q/s, events/s, recall) regress
-    downward.  The ``_ms`` and ``qps`` checks run first because compound
-    names inherit their parent's tokens (``epoch_speedup_eager_ms`` is a
-    time despite "speedup"; ``serving_overhead_ratio_disabled_qps`` is a
-    throughput despite "overhead").  Kept in sync with
-    ``repro.obs.health._bench_direction`` so the doctor and the bench runs
-    agree on what counts as a regression.
-    """
-    name = metric.lower()
-    if "_ms" in name:
-        return "lower"
-    if "qps" in name or "per_s" in name:
-        return "higher"
-    for token in ("latency", "seconds", "overhead", "time", "ratio_p"):
-        if token in name:
-            return "lower"
-    return "higher"
-
-
-def check_regression(
-    history: list,
-    metric: str,
-    tolerance: float = 0.15,
-    direction: str | None = None,
-    window: int = 5,
-) -> dict | None:
-    """Compare ``history``'s newest ``metric`` row against its trailing median.
-
-    ``history`` is a loaded ``BENCH_*.json`` list.  The newest measurement is
-    checked against the median of up to ``window`` immediately preceding
-    measurement rows (``regression_warning`` rows are ignored on both sides);
-    with fewer than 3 prior rows there is no stable baseline and the check
-    abstains.  Returns ``None`` when healthy, else a dict describing the
-    drift: ``{"metric", "value", "baseline", "drift", "direction",
-    "tolerance"}``.
-    """
-    rows = [
-        r
-        for r in history
-        if isinstance(r, dict) and r.get("metric") == metric and r.get("kind") is None
-    ]
-    if len(rows) < 4:  # newest + >= 3 predecessors
-        return None
-    newest = float(rows[-1]["value"])
-    prior = [float(r["value"]) for r in rows[-(window + 1) : -1]]
-    baseline = statistics.median(prior)
-    if baseline == 0:
-        return None
-    direction = direction or infer_direction(metric)
-    drift = (newest - baseline) / abs(baseline)
-    regressed = drift > tolerance if direction == "lower" else -drift > tolerance
-    if not regressed:
-        return None
-    return {
-        "metric": metric,
-        "value": newest,
-        "baseline": baseline,
-        "drift": drift,
-        "direction": direction,
-        "tolerance": tolerance,
-    }
 
 
 def record(

@@ -38,10 +38,10 @@ class AlignmentModule(Module):
         self.semantic = semantic
 
     #: Whether this module implements the :meth:`prepare_step` /
-    #: :meth:`pure_alignment_loss` split that lets :func:`repro.nn.compile`
-    #: trace the loss.  Modules whose loss draws per-step randomness or builds
-    #: data-dependent graph shapes keep the default ``False`` and train
-    #: eagerly through :meth:`alignment_loss`.
+    #: :meth:`pure_alignment_loss` pair that lets :func:`repro.nn.compile`
+    #: trace the loss.  Modules whose loss draws per-step randomness inside
+    #: the loss or builds data-dependent graph shapes keep the default
+    #: ``False`` and train eagerly through :meth:`alignment_loss`.
     supports_compiled_step = False
 
     # ------------------------------------------------------------------ #
@@ -52,22 +52,25 @@ class AlignmentModule(Module):
         return Tensor(0.0)
 
     def prepare_step(self, batch: BprBatch) -> dict[str, np.ndarray]:
-        """Impure per-step precomputation for the compiled path.
+        """The step's random draws, as named input arrays.
 
-        Runs *outside* the traced program, once per step: anything the loss
-        needs that is random or data-dependent (sub-sampled node ids, cluster
-        assignments) is computed here and returned as named input arrays; the
-        traced :meth:`pure_alignment_loss` receives them as tensors and must
-        not compute them itself.
+        Runs *outside* the traced program, once per step, and should do
+        nothing but draw: sub-sampled node ids, seeds.  Work that depends on
+        forward values (clustering the current representations, say) belongs
+        in :meth:`pure_alignment_loss`, as a :meth:`Tensor.host
+        <repro.nn.tensor.Tensor.host>` op when it is not differentiable, so
+        the replay computes it from its own buffers instead of a second
+        forward pass here.
         """
         return {}
 
     def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
         """Trace-safe loss: every step-varying value arrives via arguments.
 
-        ``batch`` fields and ``prepared`` values are tensors when tracing.
-        Only modules with ``supports_compiled_step = True`` need to implement
-        this.
+        ``batch`` fields and ``prepared`` values are tensors when tracing, and
+        the loss must be a deterministic function of them and the parameters
+        (host ops included).  Only modules with ``supports_compiled_step =
+        True`` need to implement this.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement a compiled step"
@@ -147,7 +150,7 @@ class AlignedRecommender(Module):
 
         Includes the BPR triplet arrays plus whatever the alignment module's
         :meth:`AlignmentModule.prepare_step` contributes (sub-sampled nodes,
-        cluster assignment matrices, ...).
+        seeds, ...).
         """
         inputs: dict[str, np.ndarray] = {
             "users": np.asarray(batch.users),

@@ -22,7 +22,7 @@ from ...cluster import kmeans
 from ...data.sampling import BprBatch, sample_instances
 from ...llm.provider import SemanticEmbeddings
 from ...models.base import BaseRecommender
-from ...nn import Tensor, as_tensor, no_grad
+from ...nn import Tensor, no_grad
 from ..base import AlignmentModule
 from .disentangle import DisentangledProjectors, DisentangledRepresentations
 from .losses import (
@@ -110,10 +110,9 @@ class DaRec(AlignmentModule):
     """Disentangled alignment of a CF backbone with LLM semantic embeddings."""
 
     name = "darec"
-    # The impure parts of one step (node sub-sampling, K-Means, centre
-    # matching) are hoisted into prepare_step(); the remaining loss is a
-    # fixed-shape pure function of (parameters, prepared inputs), so the whole
-    # joint step can be traced by repro.nn.compile.
+    # prepare_step() makes the step's random draws (node sub-sample, K-Means
+    # seeds); everything else, K-Means and centre matching included, is one
+    # loss computed from them, so repro.nn.compile can trace the joint step.
     supports_compiled_step = True
 
     def __init__(
@@ -141,12 +140,16 @@ class DaRec(AlignmentModule):
         total = self.backbone.num_users + self.backbone.num_items
         return sample_instances(total, self.config.sample_size, self._rng)
 
-    def disentangle(self, nodes: np.ndarray | None = None) -> DisentangledRepresentations:
-        """Disentangled representations of the selected joint nodes (on the tape)."""
+    def disentangle(self, nodes: np.ndarray | Tensor | None = None) -> DisentangledRepresentations:
+        """Disentangled representations of the selected joint nodes (on the tape).
+
+        ``nodes`` is an index array, or an index tensor when it arrives as a
+        compiled step input; ``None`` draws a fresh sub-sample.
+        """
         if nodes is None:
             nodes = self._sample_nodes()
         collaborative = self.backbone.representations().take_rows(nodes)
-        semantic = Tensor(self.semantic_matrix()[nodes])
+        semantic = self._semantic_tensor().take_rows(nodes)
         return self.projectors(collaborative, semantic)
 
     def shared_representations(self, nodes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -155,38 +158,41 @@ class DaRec(AlignmentModule):
             reps = self.disentangle(nodes)
             return reps.collab_shared.data.copy(), reps.llm_shared.data.copy()
 
-    # ------------------------------------------------------------------ #
-    # Loss terms
-    # ------------------------------------------------------------------ #
-    def _preference_centers(self, reps: DisentangledRepresentations) -> tuple[Tensor, Tensor]:
-        """Differentiable matched preference centres of both shared spaces.
+    def _semantic_tensor(self) -> Tensor:
+        """The full joint semantic matrix as a cached constant tensor."""
+        cached = getattr(self, "_semantic_constant", None)
+        if cached is None:
+            cached = Tensor(self.semantic_matrix())
+            self._semantic_constant = cached
+        return cached
 
-        K-Means runs on detached data to obtain cluster memberships; the centres
-        fed to the local loss are then re-computed on the tape as the mean of
-        their members so gradients reach the shared encoders.  The greedy
-        matching of Eq. (8) is likewise decided on detached centres.
+    # ------------------------------------------------------------------ #
+    # The objective
+    # ------------------------------------------------------------------ #
+    def prepare_step(self, batch: BprBatch) -> dict[str, np.ndarray]:
+        """The step's random draws, in a fixed order.
+
+        The N̂-node sub-sample, then — when the local term is active — one
+        K-Means seed for the collaborative side and one for the LLM side.
         """
-        k = self.config.num_centers
-        collab_data = reps.collab_shared.data
-        llm_data = reps.llm_shared.data
-        collab_result = kmeans(
-            collab_data, k, max_iterations=self.config.kmeans_iterations, seed=int(self._rng.integers(1 << 31))
-        )
-        llm_result = kmeans(
-            llm_data, k, max_iterations=self.config.kmeans_iterations, seed=int(self._rng.integers(1 << 31))
-        )
-        collab_centers = _differentiable_centers(reps.collab_shared, collab_result.labels, collab_result.centers, k)
-        llm_centers = _differentiable_centers(reps.llm_shared, llm_result.labels, llm_result.centers, k)
-        collab_order, llm_order = match_centers(
-            collab_centers.data, llm_centers.data, strategy=self.config.matching
-        )
-        return collab_centers.take_rows(collab_order), llm_centers.take_rows(llm_order)
+        prepared = {"darec_nodes": self._sample_nodes()}
+        if self.config.weight("local"):
+            prepared["darec_kmeans_seeds"] = np.array(
+                [self._rng.integers(1 << 31), self._rng.integers(1 << 31)]
+            )
+        return prepared
 
-    def loss_components(self, batch: BprBatch | None = None) -> dict[str, Tensor]:
-        """All four DaRec loss terms for one sub-sample (keys match the paper)."""
+    def loss_components(self, batch: BprBatch | None = None, prepared: dict | None = None) -> dict[str, Tensor]:
+        """The active DaRec loss terms, unweighted (keys match the paper).
+
+        ``prepared`` holds the step's draws (:meth:`prepare_step`, made here
+        when omitted); :meth:`pure_alignment_loss` is the weighted sum of
+        these terms.
+        """
         config = self.config
-        nodes = self._sample_nodes()
-        reps = self.disentangle(nodes)
+        if prepared is None:
+            prepared = self.prepare_step(batch)
+        reps = self.disentangle(prepared["darec_nodes"])
         components: dict[str, Tensor] = {}
         if config.weight("orthogonal"):
             components["orthogonal"] = orthogonality_loss(
@@ -202,145 +208,63 @@ class DaRec(AlignmentModule):
         if config.weight("global"):
             components["global"] = global_structure_loss(reps.collab_shared, reps.llm_shared)
         if config.weight("local"):
-            collab_centers, llm_centers = self._preference_centers(reps)
-            components["local"] = local_structure_loss(collab_centers, llm_centers)
+            collab_assign, collab_fallback, llm_assign, llm_fallback = Tensor.host(
+                self._cluster_structure, reps.collab_shared, reps.llm_shared, prepared["darec_kmeans_seeds"]
+            )
+            components["local"] = local_structure_loss(
+                collab_assign @ reps.collab_shared + collab_fallback,
+                llm_assign @ reps.llm_shared + llm_fallback,
+            )
         return components
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
-        # Route the eager path through the same impure/pure split the compiled
-        # path uses, so eager and replayed training walk one numeric path and
-        # stay bit-identical (``loss_components`` remains available for
-        # per-term ablation inspection).
-        prepared = self.prepare_step(batch)
-        return self.pure_alignment_loss(batch, prepared)
-
-    # ------------------------------------------------------------------ #
-    # Compiled execution (repro.nn.compile): impure/pure split
-    # ------------------------------------------------------------------ #
-    def prepare_step(self, batch: BprBatch) -> dict[str, np.ndarray]:
-        """Hoist the step's impure work out of the traced program.
-
-        Draws the N̂-node sub-sample and — when the local term is active —
-        runs K-Means on *detached* shared representations, then encodes the
-        resulting (matched) cluster structure as two constant matrices per
-        side: an **assignment matrix** ``M`` (``k × N̂``, row ``c`` holding
-        ``1/|C_c|`` on the members of cluster ``c``) and a **fallback matrix**
-        ``F`` (``k × d``, the frozen K-Means centre for empty clusters, zero
-        otherwise).  The traced loss then recovers differentiable centres as
-        ``M @ shared + F``.  The RNG consumption order (sample, then one seed
-        per K-Means) matches :meth:`loss_components` exactly, so compiled and
-        legacy training walk the same random stream.
-        """
-        nodes = self._sample_nodes()
-        prepared: dict[str, np.ndarray] = {"darec_nodes": nodes}
-        if not self.config.weight("local"):
-            return prepared
-        k = self.config.num_centers
-        with no_grad():
-            reps = self.disentangle(nodes)
-            collab_data = reps.collab_shared.data
-            llm_data = reps.llm_shared.data
-            collab_result = kmeans(
-                collab_data, k, max_iterations=self.config.kmeans_iterations, seed=int(self._rng.integers(1 << 31))
-            )
-            llm_result = kmeans(
-                llm_data, k, max_iterations=self.config.kmeans_iterations, seed=int(self._rng.integers(1 << 31))
-            )
-            collab_assign, collab_fallback = _assignment_matrices(
-                collab_result.labels, collab_result.centers, k
-            )
-            llm_assign, llm_fallback = _assignment_matrices(llm_result.labels, llm_result.centers, k)
-            # Match on the same centre values the traced loss will produce.
-            collab_centers = collab_assign @ collab_data + collab_fallback
-            llm_centers = llm_assign @ llm_data + llm_fallback
-            collab_order, llm_order = match_centers(
-                collab_centers, llm_centers, strategy=self.config.matching
-            )
-        prepared["darec_collab_assign"] = collab_assign[collab_order]
-        prepared["darec_collab_fallback"] = collab_fallback[collab_order]
-        prepared["darec_llm_assign"] = llm_assign[llm_order]
-        prepared["darec_llm_fallback"] = llm_fallback[llm_order]
-        return prepared
-
     def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
-        """Trace-safe DaRec objective; all step-varying data comes via ``prepared``.
-
-        Mathematically identical to :meth:`alignment_loss` — the per-cluster
-        centres are computed as an assignment-matrix product instead of
-        per-cluster gathered means, which reorders a handful of float
-        additions but nothing else.
-        """
-        config = self.config
-        nodes = prepared["darec_nodes"]
-        collaborative = self.backbone.representations().take_rows(nodes)
-        semantic = self._semantic_tensor().take_rows(nodes)
-        reps = self.projectors(collaborative, semantic)
+        """``L_or + L_uni + L_glo + L_loc``, each term weighted; trace-safe."""
         total: Tensor | None = None
-
-        def accumulate(term: str, value: Tensor) -> None:
-            nonlocal total
-            weighted = value * config.weight(term)
+        for term, value in self.loss_components(batch, prepared).items():
+            weighted = value * self.config.weight(term)
             total = weighted if total is None else total + weighted
-
-        if config.weight("orthogonal"):
-            accumulate(
-                "orthogonal",
-                orthogonality_loss(reps.llm_specific, reps.llm_shared)
-                + orthogonality_loss(reps.collab_specific, reps.collab_shared),
-            )
-        if config.weight("uniformity"):
-            if config.uniformity_target == "specific":
-                accumulate("uniformity", uniformity_loss(reps.collab_specific, reps.llm_specific))
-            else:
-                accumulate(
-                    "uniformity",
-                    uniformity_loss(reps.concatenated("collab"), reps.concatenated("llm")),
-                )
-        if config.weight("global"):
-            accumulate("global", global_structure_loss(reps.collab_shared, reps.llm_shared))
-        if config.weight("local"):
-            collab_centers = as_tensor(prepared["darec_collab_assign"]) @ reps.collab_shared + as_tensor(
-                prepared["darec_collab_fallback"]
-            )
-            llm_centers = as_tensor(prepared["darec_llm_assign"]) @ reps.llm_shared + as_tensor(
-                prepared["darec_llm_fallback"]
-            )
-            accumulate("local", local_structure_loss(collab_centers, llm_centers))
         return total if total is not None else Tensor(0.0)
 
-    def _semantic_tensor(self) -> Tensor:
-        """The full joint semantic matrix as a cached constant tensor."""
-        cached = getattr(self, "_semantic_constant", None)
-        if cached is None:
-            cached = Tensor(self.semantic_matrix())
-            self._semantic_constant = cached
-        return cached
+    def alignment_loss(self, batch: BprBatch) -> Tensor:
+        return self.pure_alignment_loss(batch, self.prepare_step(batch))
 
+    def _cluster_structure(
+        self, collab: np.ndarray, llm: np.ndarray, seeds: np.ndarray
+    ) -> tuple[np.ndarray, ...]:
+        """K-Means on both shared spaces and the matching of Eq. (7-8).
 
-def _differentiable_centers(
-    shared: Tensor, labels: np.ndarray, fallback_centers: np.ndarray, k: int
-) -> Tensor:
-    """Mean of each cluster's member rows, computed on the autograd tape."""
-    rows = []
-    for cluster in range(k):
-        members = np.where(labels == cluster)[0]
-        if len(members) == 0:
-            rows.append(Tensor(fallback_centers[cluster]).reshape(1, -1))
-        else:
-            rows.append(shared.take_rows(members).mean(axis=0, keepdims=True))
-    return Tensor.concat(rows, axis=0)
+        Returns, per side, the **assignment matrix** ``M`` (``k × N̂``, row
+        ``c`` holding ``1/|C_c|`` on the members of cluster ``c``) and the
+        **fallback matrix** ``F`` (``k × d``, the K-Means centre of an empty
+        cluster, zero otherwise), rows in matched order.  ``M @ shared + F``
+        is then the matched preference centres, computed on the tape so
+        gradients reach the shared encoders.  Runs as a :meth:`Tensor.host`
+        op, so it is a pure function of its arguments.
+        """
+        k = self.config.num_centers
+        sides = []
+        for data, seed in ((collab, seeds[0]), (llm, seeds[1])):
+            result = kmeans(data, k, max_iterations=self.config.kmeans_iterations, seed=int(seed))
+            assign, fallback = _assignment_matrices(result.labels, result.centers, k)
+            sides.append((assign, fallback, assign @ data + fallback))
+        (collab_assign, collab_fallback, collab_centers), (llm_assign, llm_fallback, llm_centers) = sides
+        collab_order, llm_order = match_centers(collab_centers, llm_centers, strategy=self.config.matching)
+        return (
+            collab_assign[collab_order],
+            collab_fallback[collab_order],
+            llm_assign[llm_order],
+            llm_fallback[llm_order],
+        )
 
 
 def _assignment_matrices(
     labels: np.ndarray, fallback_centers: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster structure as constant matrices for the compiled local loss.
+    """Per-cluster mean as a matrix: ``assign @ shared + fallback``.
 
     ``assign[c]`` holds ``1/|C_c|`` on cluster ``c``'s members, so
     ``assign @ shared`` is the per-cluster mean; ``fallback[c]`` is the frozen
-    K-Means centre when cluster ``c`` is empty (zero otherwise), making
-    ``assign @ shared + fallback`` the fixed-shape analogue of
-    :func:`_differentiable_centers`.
+    K-Means centre when cluster ``c`` is empty (zero otherwise).
     """
     count = len(labels)
     assign = np.zeros((k, count))

@@ -33,6 +33,14 @@ captured by reference at trace time and assumed constant.  Index arrays from
 ``inputs`` reach gather ops as *dynamic* indices (``Tensor.take_rows`` with a
 tensor operand), so per-batch user/item ids are re-read on every replay.
 
+Non-differentiable NumPy work that depends on forward values (clustering,
+matching) goes through :meth:`Tensor.host <repro.nn.tensor.Tensor.host>`: the
+replay calls its function again on the parents' current forward buffers, so
+the work runs inside the program instead of as a second pass outside it.  The
+function must be pure — randomness arrives through ``inputs`` — because both
+the tracing run and every replay call it.  It gets no VJP, and a replay whose
+outputs change shape raises :class:`TraceError`.
+
 A **shape guard** keys each traced program by the shapes/dtypes of all inputs
 and parameters: a batch with new shapes triggers a re-trace (bounded program
 cache), and constructs the tracer cannot handle (:class:`TraceError`, e.g. an
@@ -47,7 +55,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..obs.profile import OpProfiler
+from ..obs.profile import OpProfiler, timed_section
 from .tensor import Tensor, TraceError, _set_tracing, _unbroadcast
 
 __all__ = ["compile", "CompiledStep", "CompileStats", "Program", "trace_program", "TraceError"]
@@ -273,7 +281,8 @@ class Program:
 
         # Thunk compilation --------------------------------------------------
         # Op names are kept in parallel lists (not attached to the thunks) so
-        # the unprofiled run() loop stays a bare `for thunk in self._fwd`.
+        # an unprofiled run() calls the bare thunks; a profiled one calls
+        # timed wrappers built from these lists.
         self._fwd: list[Callable[[], None]] = []
         self._fwd_ops: list[str] = []
         self._bwd: list[Callable[[], None]] = []
@@ -296,6 +305,7 @@ class Program:
 
         self._loss_cell = self.nodes[self._loss_index].cell
         self._loss_slot = self.nodes[self._loss_index].slot
+        self._timed: tuple[OpProfiler, list, list] | None = None
 
     # ------------------------------------------------------------------ #
     # Fusion planning
@@ -387,82 +397,60 @@ class Program:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, params: Sequence[Tensor], inputs: Mapping[str, np.ndarray]) -> float:
-        """One replay: forward, backward, publish ``param.grad``; returns loss."""
-        for cell, position in self._param_cells:
-            cell[0] = params[position].data
-        for cell, name in self._input_cells:
-            cell[0] = np.asarray(inputs[name])
-        for cell, tensor in self._const_bindings:
-            cell[0] = tensor.data
-
-        for thunk in self._fwd:
-            thunk()
-
-        if self._loss_requires_grad:
-            for slot in self._slots:
-                slot.filled = False
-            seed = self._loss_slot
-            seed.buf[...] = 1.0
-            seed.filled = True
-            for thunk in self._bwd:
-                thunk()
-
-        for position, slot in self._param_grad_publish:
-            param = params[position]
-            param.grad = slot.buf if (slot is not None and slot.filled) else None
-        return float(np.asarray(self._loss_cell[0]).reshape(()))
-
-    def run_profiled(
+    def run(
         self,
         params: Sequence[Tensor],
         inputs: Mapping[str, np.ndarray],
-        profiler: OpProfiler,
+        profiler: OpProfiler | None = None,
     ) -> float:
-        """Like :meth:`run`, crediting per-thunk wall time to ``profiler``.
+        """One replay: forward, backward, publish ``param.grad``; returns loss.
 
-        Each primitive is keyed ``<op>.fwd`` / ``<op>.bwd``; the non-thunk
-        replay work (leaf binding, gradient seeding, grad publish) is credited
-        under ``replay.*`` keys so the profile accounts for the whole replay,
-        not just the op loop.  A separate method keeps the unprofiled
-        :meth:`run` loop free of any timing branches.
+        With a ``profiler`` the same loop runs timed wrappers of the same
+        thunks: each primitive is credited under ``<op>.fwd`` / ``<op>.bwd``,
+        and the work around the op loops (leaf binding, gradient seeding, grad
+        publish) under ``replay.*`` keys, so the profile accounts for the
+        whole replay.
         """
-        perf = time.perf_counter
-        add = profiler.add
-        start = perf()
-        for cell, position in self._param_cells:
-            cell[0] = params[position].data
-        for cell, name in self._input_cells:
-            cell[0] = np.asarray(inputs[name])
-        for cell, tensor in self._const_bindings:
-            cell[0] = tensor.data
-        add("replay.bind", perf() - start)
+        fwd, bwd = self._fwd, self._bwd
+        if profiler is not None:
+            fwd, bwd = self._timed_thunks(profiler)
+        with timed_section(profiler, "replay.bind"):
+            for cell, position in self._param_cells:
+                cell[0] = params[position].data
+            for cell, name in self._input_cells:
+                cell[0] = np.asarray(inputs[name])
+            for cell, tensor in self._const_bindings:
+                cell[0] = tensor.data
 
-        for thunk, op in zip(self._fwd, self._fwd_ops):
-            start = perf()
+        for thunk in fwd:
             thunk()
-            add(op + ".fwd", perf() - start)
 
         if self._loss_requires_grad:
-            start = perf()
-            for slot in self._slots:
-                slot.filled = False
-            seed = self._loss_slot
-            seed.buf[...] = 1.0
-            seed.filled = True
-            add("replay.seed", perf() - start)
-            for thunk, op in zip(self._bwd, self._bwd_ops):
-                start = perf()
+            with timed_section(profiler, "replay.seed"):
+                for slot in self._slots:
+                    slot.filled = False
+                seed = self._loss_slot
+                seed.buf[...] = 1.0
+                seed.filled = True
+            for thunk in bwd:
                 thunk()
-                add(op + ".bwd", perf() - start)
 
-        start = perf()
-        for position, slot in self._param_grad_publish:
-            param = params[position]
-            param.grad = slot.buf if (slot is not None and slot.filled) else None
-        loss = float(np.asarray(self._loss_cell[0]).reshape(()))
-        add("replay.publish", perf() - start)
+        with timed_section(profiler, "replay.publish"):
+            for position, slot in self._param_grad_publish:
+                param = params[position]
+                param.grad = slot.buf if (slot is not None and slot.filled) else None
+            loss = float(np.asarray(self._loss_cell[0]).reshape(()))
         return loss
+
+    def _timed_thunks(self, profiler: OpProfiler) -> tuple[list, list]:
+        """Forward/backward thunk lists that credit their time to ``profiler``."""
+        if self._timed is None or self._timed[0] is not profiler:
+            self._timed = (
+                profiler,
+                [_timed(thunk, op + ".fwd", profiler) for thunk, op in zip(self._fwd, self._fwd_ops)],
+                [_timed(thunk, op + ".bwd", profiler) for thunk, op in zip(self._bwd, self._bwd_ops)],
+            )
+        return self._timed[1], self._timed[2]
 
     @property
     def num_nodes(self) -> int:
@@ -470,6 +458,18 @@ class Program:
 
 
 _VIEW_OPS = {"reshape", "transpose", "getitem"}
+
+
+def _timed(thunk: Callable[[], None], key: str, profiler: OpProfiler) -> Callable[[], None]:
+    perf = time.perf_counter
+    add = profiler.add
+
+    def timed() -> None:
+        start = perf()
+        thunk()
+        add(key, perf() - start)
+
+    return timed
 
 
 # --------------------------------------------------------------------------- #
@@ -1083,6 +1083,21 @@ def _build_sparse_matmul(program, node):
     return forward, backward if out is not None else None
 
 
+def _build_host(program, node):
+    cells = _cells(program, node)
+    buf = node.cell[0]
+    fn, shapes = node.ctx
+
+    def forward():  # eager: concatenate(ravel(fn(*parent data)))
+        outputs = fn(*(cell[0] for cell in cells))
+        got = tuple(np.shape(out) for out in outputs)
+        if got != shapes:
+            raise TraceError(f"host op output shapes changed from {shapes} to {got}")
+        np.concatenate([np.ravel(out) for out in outputs], out=buf)
+
+    return forward, None
+
+
 _BUILDERS: dict[str, Callable] = {
     "add": _build_add,
     "sub": _build_sub,
@@ -1110,6 +1125,7 @@ _BUILDERS: dict[str, Callable] = {
     "concat": _build_concat,
     "stack": _build_stack,
     "sparse_matmul": _build_sparse_matmul,
+    "host": _build_host,
 }
 
 
@@ -1206,9 +1222,7 @@ class CompiledStep:
             self.stats.nodes = program.num_nodes
             self.stats.fused_nodes = sum(1 for n in program.nodes if n.fused)
         self.stats.replays += 1
-        if self.profiler is not None:
-            return program.run_profiled(params, inputs, self.profiler)
-        return program.run(params, inputs)
+        return program.run(params, inputs, self.profiler)
 
     def eager(self, params: Sequence[Tensor], inputs: Mapping[str, np.ndarray]) -> float:
         """Run the step eagerly (fresh tape) regardless of mode."""
@@ -1257,9 +1271,9 @@ class CompiledStep:
     def enable_profiling(self, profiler: OpProfiler | None = None) -> OpProfiler:
         """Attach (or create) a per-op profiler; returns it.
 
-        Subsequent replays route through :meth:`Program.run_profiled`, so
-        every primitive's wall time accumulates under ``<op>.fwd`` /
-        ``<op>.bwd`` keys.  Detach with ``step.profiler = None``.
+        Subsequent replays pass it to :meth:`Program.run`, so every
+        primitive's wall time accumulates under ``<op>.fwd`` / ``<op>.bwd``
+        keys.  Detach with ``step.profiler = None``.
         """
         if profiler is None:
             profiler = self.profiler if self.profiler is not None else OpProfiler()

@@ -22,6 +22,7 @@ every training step (HIPS/autograd-style primitive/VJP separation).
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -600,6 +601,34 @@ class Tensor:
             op="concat",
             ctx=(axis, tuple(int(o) for o in offsets)),
         )
+
+    @staticmethod
+    def host(fn: Callable[..., Sequence[np.ndarray]], *parents) -> tuple["Tensor", ...]:
+        """Run NumPy code on the parents' values as one non-differentiable op.
+
+        ``fn(*arrays)`` receives each parent's ``.data`` and returns a sequence
+        of float arrays; each comes back as a constant tensor, and no gradient
+        flows through the op.  Under :mod:`repro.nn.compile` a replay calls
+        ``fn`` again on the parents' current forward values, so ``fn`` must be
+        pure: anything random reaches it through a parent (a seed array among
+        the step inputs, say).  The outputs are views of one packed buffer; a
+        replay whose outputs change shape raises :class:`TraceError`.
+        """
+        parents = tuple(as_tensor(p) for p in parents)
+        outputs = [np.asarray(out, dtype=np.float64) for out in fn(*(p.data for p in parents))]
+        shapes = tuple(out.shape for out in outputs)
+        packed = Tensor(
+            np.concatenate([out.ravel() for out in outputs]), _parents=parents if _TRACING else ()
+        )
+        packed._op = "host"
+        packed._ctx = (fn, shapes)
+        views = []
+        start = 0
+        for shape in shapes:
+            stop = start + math.prod(shape)
+            views.append(packed[start:stop].reshape(shape))
+            start = stop
+        return tuple(views)
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":

@@ -37,8 +37,10 @@ __all__ = [
     "DoctorReport",
     "HealthEngine",
     "bench_regressions",
+    "check_regression",
     "doctor_from_dir",
     "doctor_verdict",
+    "infer_direction",
 ]
 
 
@@ -160,13 +162,15 @@ class HealthEngine:
 # --------------------------------------------------------------------------- #
 # Benchmark-trajectory regression check (doctor --bench)
 # --------------------------------------------------------------------------- #
-def _bench_direction(metric: str) -> str:
-    """Whether larger is better for a metric, inferred from its name.
+def infer_direction(metric: str) -> str:
+    """``"lower"`` or ``"higher"`` — which way is better, from the name.
 
-    ``_ms``/``qps`` are checked before the generic tokens: compound names
-    inherit their parent's tokens, and the suffix is the ground truth
-    (``epoch_speedup_eager_ms`` is a time, ``..._disabled_qps`` a
-    throughput).  Kept in sync with ``benchmarks/record.py``.
+    Time-ish metrics (latency, seconds, ``_ms`` suffixes, overhead ratios)
+    regress upward; throughput-ish metrics (q/s, events/s, recall) regress
+    downward.  The ``_ms`` and ``qps`` checks run first because compound
+    names inherit their parent's tokens (``epoch_speedup_eager_ms`` is a
+    time despite "speedup"; ``serving_overhead_ratio_disabled_qps`` is a
+    throughput despite "overhead").
     """
     name = metric.lower()
     if "_ms" in name:
@@ -179,14 +183,57 @@ def _bench_direction(metric: str) -> str:
     return "higher"
 
 
+def check_regression(
+    history: list,
+    metric: str,
+    tolerance: float = 0.15,
+    direction: str | None = None,
+    window: int = 5,
+) -> dict | None:
+    """Compare ``history``'s newest ``metric`` row against its trailing median.
+
+    ``history`` is a loaded ``BENCH_*.json`` list.  The newest measurement is
+    checked against the median of up to ``window`` immediately preceding
+    measurement rows (rows carrying a ``kind`` — ``regression_warning`` or
+    ``context`` — are ignored on both sides); with fewer than 3 prior rows
+    there is no stable baseline and the check abstains.  Returns ``None``
+    when healthy, else a dict describing the drift: ``{"metric", "value",
+    "baseline", "drift", "direction", "tolerance"}``.
+    """
+    rows = [
+        r
+        for r in history
+        if isinstance(r, dict) and r.get("metric") == metric and r.get("kind") is None
+    ]
+    if len(rows) < 4:  # newest + >= 3 predecessors
+        return None
+    newest = float(rows[-1]["value"])
+    prior = [float(r["value"]) for r in rows[-(window + 1) : -1]]
+    baseline = statistics.median(prior)
+    if baseline == 0:
+        return None
+    direction = direction or infer_direction(metric)
+    drift = (newest - baseline) / abs(baseline)
+    regressed = drift > tolerance if direction == "lower" else -drift > tolerance
+    if not regressed:
+        return None
+    return {
+        "metric": metric,
+        "value": newest,
+        "baseline": baseline,
+        "drift": drift,
+        "direction": direction,
+        "tolerance": tolerance,
+    }
+
+
 def bench_regressions(
     bench_dir, tolerance: float = 0.15, window: int = 5
 ) -> list[dict]:
     """Scan ``BENCH_*.json`` histories for newest-vs-trailing-median drift.
 
-    Mirrors ``benchmarks/record.py::check_regression`` (kept in sync by
-    ``tests/obs/test_dashboard.py``) so the doctor can analyse a checkout
-    without importing the benchmarks directory.  Also surfaces persisted
+    Runs :func:`check_regression` (the same check the bench harness applies
+    when it records a row) on every measured metric.  Also surfaces persisted
     ``regression_warning`` rows the bench runs appended themselves — but only
     ones not yet *superseded* by a newer measurement of the same metric: a
     recovered metric stops flagging the checkout, matching how the trend
@@ -203,7 +250,7 @@ def bench_regressions(
             continue
         if not isinstance(rows, list):
             continue
-        by_metric: dict[str, list[dict]] = {}
+        measured: dict[str, None] = {}  # metric names in first-seen order
         live_warnings: dict[str, list[dict]] = {}
         for row in rows:
             if not isinstance(row, dict) or "metric" not in row:
@@ -211,11 +258,9 @@ def bench_regressions(
             metric = row["metric"]
             if row.get("kind") == "regression_warning":
                 live_warnings.setdefault(metric, []).append(row)
-                continue
-            if row.get("kind") == "context":
-                continue  # raw machine-speed numbers: forensics, not contracts
-            live_warnings.pop(metric, None)  # healthy row supersedes warnings
-            by_metric.setdefault(metric, []).append(row)
+            elif row.get("kind") is None:
+                live_warnings.pop(metric, None)  # healthy row supersedes warnings
+                measured[metric] = None
         for metric, rows_for_metric in live_warnings.items():
             for row in rows_for_metric:
                 found.append(
@@ -226,25 +271,17 @@ def bench_regressions(
                         "source": "recorded",
                     }
                 )
-        for metric, history in by_metric.items():
-            if len(history) < 4:  # need >= 3 prior rows for a stable median
-                continue
-            prior = [float(r["value"]) for r in history[-(window + 1) : -1]]
-            newest = float(history[-1]["value"])
-            baseline = statistics.median(prior)
-            if baseline == 0:
-                continue
-            direction = _bench_direction(metric)
-            drift = (newest - baseline) / abs(baseline)
-            regressed = drift > tolerance if direction == "lower" else -drift > tolerance
-            if regressed:
+        for metric in measured:
+            drift = check_regression(rows, metric, tolerance=tolerance, window=window)
+            if drift is not None:
                 found.append(
                     {
                         "file": path.name,
                         "metric": metric,
                         "detail": (
-                            f"newest {newest:.6g} vs trailing median "
-                            f"{baseline:.6g} ({drift:+.1%}, {direction} is better)"
+                            f"newest {drift['value']:.6g} vs trailing median "
+                            f"{drift['baseline']:.6g} ({drift['drift']:+.1%}, "
+                            f"{drift['direction']} is better)"
                         ),
                         "source": "trend",
                     }

@@ -23,10 +23,12 @@ untouched.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
-__all__ = ["OpProfiler", "ProfileReport", "ProfileRow"]
+__all__ = ["OpProfiler", "ProfileReport", "ProfileRow", "timed_section"]
+
+_UNTIMED = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -159,3 +161,8 @@ class OpProfiler:
             other_seconds=sum(seconds for _, seconds in tail),
             other_keys=len(tail),
         )
+
+
+def timed_section(profiler: OpProfiler | None, key: str):
+    """``profiler.time(key)``, or a shared no-op context when ``profiler`` is None."""
+    return _UNTIMED if profiler is None else profiler.time(key)

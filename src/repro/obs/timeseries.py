@@ -37,7 +37,7 @@ from itertools import accumulate
 from dataclasses import dataclass
 from pathlib import Path
 
-from .metrics import fraction_over, get_registry, quantile_from_buckets
+from .metrics import _label_key, fraction_over, get_registry, quantile_from_buckets
 
 __all__ = [
     "MetricsSampler",
@@ -75,12 +75,6 @@ class TimeSeriesConfig:
             b <= a for a, b in zip(self.tier_resolutions, self.tier_resolutions[1:])
         ):
             raise ValueError("tier resolutions must be strictly increasing")
-
-
-def _label_key(labels: dict | None) -> tuple[tuple[str, str], ...]:
-    if not labels:
-        return ()
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 #: ``(name, sorted-label-items)`` — the identity of one stored series.

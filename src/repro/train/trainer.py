@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +12,7 @@ from ..data.sampling import BprSampler
 from ..eval.protocol import EvaluationResult, RankingEvaluator
 from ..models.base import BaseRecommender
 from ..nn import Adam, CompiledStep, compile as nn_compile
-from ..obs.profile import OpProfiler
+from ..obs.profile import OpProfiler, timed_section
 from .config import TrainingConfig
 from .early_stopping import EarlyStopping
 
@@ -81,62 +80,34 @@ class Trainer:
         return profiler
 
     def train_epoch(self) -> float:
-        """One pass over the training interactions; returns the mean batch loss."""
+        """One pass over the training interactions; returns the mean batch loss.
+
+        With a profiler attached, each stage of a step is timed into it; the
+        sampler is iterated by hand so batch production is billed on its own.
+        """
         self.model.train()
         self.model.on_epoch_start()
-        if self.profiler is not None:
-            return self._train_epoch_profiled()
-        losses: list[float] = []
-        if self.compiled_step is not None:
-            for batch in self.sampler.epoch():
-                inputs = self.model.make_step_inputs(batch)
-                loss_value = self.compiled_step(self._step_params, inputs)
-                self.optimizer.step()
-                losses.append(loss_value)
-        else:
-            for batch in self.sampler.epoch():
-                self.optimizer.zero_grad()
-                loss = self.model.loss(batch)
-                loss.backward()
-                self.optimizer.step()
-                losses.append(loss.item())
-        return float(np.mean(losses)) if losses else 0.0
-
-    def _train_epoch_profiled(self) -> float:
-        """The ``train_epoch`` body with stage timing into ``self.profiler``.
-
-        Kept as a separate method so the unprofiled loop carries no timing
-        branches.  Iterates the sampler manually to bill batch production
-        separately from the step itself.
-        """
         profiler = self.profiler
-        perf = time.perf_counter
         losses: list[float] = []
-        compiled = self.compiled_step
         batches = iter(self.sampler.epoch())
         while True:
-            start = perf()
-            batch = next(batches, None)
-            profiler.add("sampler.next", perf() - start)
+            with timed_section(profiler, "sampler.next"):
+                batch = next(batches, None)
             if batch is None:
                 break
-            if compiled is not None:
-                start = perf()
-                inputs = self.model.make_step_inputs(batch)
-                profiler.add("step.inputs", perf() - start)
-                losses.append(compiled(self._step_params, inputs))
+            if self.compiled_step is not None:
+                with timed_section(profiler, "step.inputs"):
+                    inputs = self.model.make_step_inputs(batch)
+                losses.append(self.compiled_step(self._step_params, inputs))
             else:
-                start = perf()
-                self.optimizer.zero_grad()
-                loss = self.model.loss(batch)
-                profiler.add("eager.forward", perf() - start)
-                start = perf()
-                loss.backward()
-                profiler.add("eager.backward", perf() - start)
+                with timed_section(profiler, "eager.forward"):
+                    self.optimizer.zero_grad()
+                    loss = self.model.loss(batch)
+                with timed_section(profiler, "eager.backward"):
+                    loss.backward()
                 losses.append(loss.item())
-            start = perf()
-            self.optimizer.step()
-            profiler.add("optimizer.step", perf() - start)
+            with timed_section(profiler, "optimizer.step"):
+                self.optimizer.step()
         return float(np.mean(losses)) if losses else 0.0
 
     def fit(self) -> TrainingHistory:

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.align import AlignedRecommender, DaRec, DaRecConfig
+from repro.align.darec import local_structure_loss, match_centers
+from repro.cluster import kmeans
+from repro.data.sampling import sample_instances
 from repro.models import LightGCN
-from repro.nn import Adam
+from repro.nn import Adam, Tensor, compile as nn_compile
 
 
 class TestDaRecConfig:
@@ -140,7 +143,7 @@ class TestDaRecTraining:
 
 
 class TestPreparePureSplit:
-    """The impure/pure step split behind the compiled execution path."""
+    """The draws/loss split behind the compiled execution path."""
 
     def _fresh_darec(self, backbone, semantic):
         config = DaRecConfig(shared_dim=12, hidden_dim=12, num_centers=3, sample_size=48, seed=0)
@@ -151,13 +154,7 @@ class TestPreparePureSplit:
 
     def test_prepared_arrays_are_plain_numpy(self, darec, bpr_batch):
         prepared = darec.prepare_step(bpr_batch)
-        assert set(prepared) == {
-            "darec_nodes",
-            "darec_collab_assign",
-            "darec_collab_fallback",
-            "darec_llm_assign",
-            "darec_llm_fallback",
-        }
+        assert set(prepared) == {"darec_nodes", "darec_kmeans_seeds"}
         for value in prepared.values():
             assert isinstance(value, np.ndarray)
 
@@ -169,7 +166,18 @@ class TestPreparePureSplit:
         prepared = module.prepare_step(bpr_batch)
         assert set(prepared) == {"darec_nodes"}
 
-    def test_split_matches_legacy_loss_and_gradients(
+    def test_prepare_step_draw_order(self, darec, bpr_batch):
+        # The node sample first, then one K-Means seed per side (collab, LLM).
+        rng = np.random.default_rng(darec.config.seed)
+        total = darec.backbone.num_users + darec.backbone.num_items
+        nodes = sample_instances(total, darec.config.sample_size, rng)
+        seeds = [rng.integers(1 << 31), rng.integers(1 << 31)]
+        prepared = darec.prepare_step(bpr_batch)
+        np.testing.assert_array_equal(prepared["darec_nodes"], nodes)
+        np.testing.assert_array_equal(prepared["darec_kmeans_seeds"], seeds)
+        assert darec._rng.bit_generator.state == rng.bit_generator.state
+
+    def test_split_matches_alignment_loss_and_gradients(
         self, lightgcn_backbone, tiny_semantic, bpr_batch
     ):
         # Two identical modules on the same RNG stream: the delegating
@@ -189,23 +197,55 @@ class TestPreparePureSplit:
         for param in lightgcn_backbone.parameters():
             np.testing.assert_array_equal(param.grad, grads_a[id(param)])
 
-    def test_pure_loss_matches_component_sum(self, darec, bpr_batch):
-        # loss_components keeps the per-cluster gathered-mean formulation; the
-        # assignment-matrix centres only reorder a few float additions, so the
-        # totals agree to numerical precision (not necessarily bitwise).
-        state = darec._rng.bit_generator.state
-        components = darec.loss_components(bpr_batch)
-        expected = sum(value.item() * darec.config.weight(term) for term, value in components.items())
-        darec._rng.bit_generator.state = state  # replay the same draws
+    def test_local_term_matches_gathered_mean_centres(self, darec, bpr_batch):
+        # Reference for Eq. (6-10): each matched centre is the mean of its
+        # cluster's gathered member rows (the frozen K-Means centre when the
+        # cluster is empty).  The objective's assignment-matrix product only
+        # reorders a few float additions, so the totals agree to rounding.
         prepared = darec.prepare_step(bpr_batch)
+        components = darec.loss_components(bpr_batch, prepared)
+        reps = darec.disentangle(prepared["darec_nodes"])
+        k = darec.config.num_centers
+        centres = []
+        for shared, seed in zip((reps.collab_shared, reps.llm_shared), prepared["darec_kmeans_seeds"]):
+            result = kmeans(shared.data, k, max_iterations=darec.config.kmeans_iterations, seed=int(seed))
+            rows = []
+            for cluster in range(k):
+                members = np.where(result.labels == cluster)[0]
+                if len(members):
+                    rows.append(shared.take_rows(members).mean(axis=0, keepdims=True))
+                else:
+                    rows.append(Tensor(result.centers[cluster]).reshape(1, -1))
+            centres.append(Tensor.concat(rows, axis=0))
+        collab_order, llm_order = match_centers(
+            centres[0].data, centres[1].data, strategy=darec.config.matching
+        )
+        local = local_structure_loss(centres[0].take_rows(collab_order), centres[1].take_rows(llm_order))
+        assert components["local"].item() == pytest.approx(local.item(), rel=1e-9)
+        expected = sum(
+            (local if term == "local" else value).item() * darec.config.weight(term)
+            for term, value in components.items()
+        )
         actual = darec.pure_alignment_loss(bpr_batch, prepared).item()
         assert actual == pytest.approx(expected, rel=1e-9)
 
-    def test_rng_stream_consumption_matches_legacy(self, lightgcn_backbone, tiny_semantic, bpr_batch):
-        # prepare_step must consume exactly the draws loss_components would,
-        # so alternating paths across steps cannot desynchronise a run.
-        module_a = self._fresh_darec(lightgcn_backbone, tiny_semantic)
-        module_b = self._fresh_darec(lightgcn_backbone, tiny_semantic)
-        module_a.loss_components(bpr_batch)
-        module_b.prepare_step(bpr_batch)
-        assert module_a._rng.bit_generator.state == module_b._rng.bit_generator.state
+    def test_replayed_step_propagates_only_inside_the_replay(
+        self, lightgcn_backbone, tiny_semantic, bpr_batch, monkeypatch
+    ):
+        # K-Means reads the replay's own forward values, so after the trace
+        # no Python-side propagation of the backbone runs at all.
+        model = AlignedRecommender(
+            lightgcn_backbone, self._fresh_darec(lightgcn_backbone, tiny_semantic), trade_off=0.1
+        )
+        step = nn_compile(model.build_step_fn())
+        params = list(model.parameters())
+        calls = []
+        propagate = lightgcn_backbone.propagate
+        monkeypatch.setattr(lightgcn_backbone, "propagate", lambda: calls.append(1) or propagate())
+        step(params, model.make_step_inputs(bpr_batch))
+        traced = len(calls)
+        assert traced > 0
+        for _ in range(3):
+            step(params, model.make_step_inputs(bpr_batch))
+        assert (step.stats.traces, step.stats.replays) == (1, 4)
+        assert len(calls) == traced

@@ -201,6 +201,56 @@ class TestMultiStepTraining:
         assert replay_step.stats.replays == 20
 
 
+class TestHostOp:
+    """``Tensor.host``: non-differentiable NumPy work inside the program."""
+
+    def test_replay_recomputes_from_current_buffers(self):
+        seen = []
+
+        def centre(values):
+            seen.append(values.copy())
+            return (values.mean(axis=0, keepdims=True),)
+
+        def step(p, i):
+            hidden = i["x"] @ p[0]
+            (mean,) = Tensor.host(centre, hidden)
+            return ((hidden - mean) ** 2).sum()
+
+        inputs_seq = [{"x": RNG.normal(size=(6, 4))} for _ in range(4)]
+        run_both_arms(step, make_params_factory(W), inputs_seq)
+
+        params = make_params_factory(W)()
+        replay_step = nn_compile(step)
+        for inputs in inputs_seq:
+            seen.clear()
+            replay_step(params, inputs)
+            # Each replay hands the function this step's forward values.
+            np.testing.assert_array_equal(seen[-1], inputs["x"] @ params[0].data)
+            params[0].data = params[0].data - 0.05 * params[0].grad
+        assert replay_step.stats.replays == len(inputs_seq)
+
+    def test_outputs_carry_no_gradient(self):
+        def step(p, i):
+            (scale, shift) = Tensor.host(lambda v: (np.abs(v).max(), v.sum(axis=0)), p[0])
+            return (p[0] * scale).sum() + shift.sum()
+
+        params = make_params_factory(W)()
+        nn_compile(step)(params, {})
+        np.testing.assert_array_equal(params[0].grad, np.full(W.shape, np.abs(W).max()))
+
+    def test_shape_change_on_replay_raises(self):
+        def step(p, i):
+            (positive,) = Tensor.host(lambda v: (v[v > 0],), p[0])
+            return (p[0] * positive.sum()).sum()
+
+        params = [Parameter(np.array([1.0, -1.0, 2.0]))]
+        step_fn = nn_compile(step)
+        step_fn(params, {})
+        params[0].data = np.array([1.0, 1.0, 2.0])
+        with pytest.raises(TraceError):
+            step_fn(params, {})
+
+
 class TestFusion:
     def test_elementwise_chain_shares_buffers(self):
         def step(p, i):

@@ -1,9 +1,8 @@
 """Dashboard rendering, doctor exit codes, and bench-regression checks.
 
-Also holds the sync test keeping ``repro.obs.health.bench_regressions`` and
-``benchmarks/record.py::check_regression`` in agreement (the logic is
-intentionally duplicated so the doctor works without importing the
-benchmarks directory).
+The regression check lives once, in :mod:`repro.obs.health`;
+``benchmarks/record.py`` imports it, so the doctor and the bench runs judge a
+history by the same code.
 """
 
 from __future__ import annotations
@@ -26,8 +25,10 @@ from repro.obs.dashboard import (
 from repro.obs.health import (
     HealthEngine,
     bench_regressions,
+    check_regression,
     doctor_from_dir,
     doctor_verdict,
+    infer_direction,
 )
 from repro.obs.slo import SLO
 
@@ -321,9 +322,8 @@ class TestBenchRegressions:
         assert bench_regressions(tmp_path) == []
 
 
-class TestSyncWithRecordModule:
-    """``bench_regressions`` (doctor) and ``check_regression`` (bench runs)
-    must agree — they are deliberate duplicates of one policy."""
+class TestOneRegressionCheck:
+    """``repro doctor --bench`` and the bench harness share one check."""
 
     HISTORIES = [
         ("serve_latency_p50_ms", [10.0, 10.2, 9.9, 10.1, 14.0], True),
@@ -334,48 +334,41 @@ class TestSyncWithRecordModule:
         ("ndcg_at_20", [0.05, 0.051, 0.049, 0.05, 0.02], True),
     ]
 
+    def test_record_module_imports_the_check(self):
+        record = load_record_module()
+        assert record.check_regression is check_regression
+        assert record.infer_direction is infer_direction
+
     @pytest.mark.parametrize("metric, values, expect", HISTORIES)
     def test_same_verdict_on_same_history(self, tmp_path, metric, values, expect):
-        record = load_record_module()
         history = [{"metric": metric, "value": v, "schema": 1} for v in values]
-        from_record = record.check_regression(history, metric, tolerance=0.15)
+        direct = check_regression(history, metric, tolerance=0.15)
         write_history(tmp_path / "BENCH_sync.json", metric, values)
-        from_health = bench_regressions(tmp_path, tolerance=0.15)
-        assert (from_record is not None) == expect
-        assert bool(from_health) == expect
+        from_dir = bench_regressions(tmp_path, tolerance=0.15)
+        assert (direct is not None) == expect
+        assert bool(from_dir) == expect
         if expect:
-            assert from_health[0]["metric"] == metric
-            assert from_record["metric"] == metric
+            assert from_dir[0]["metric"] == metric
+            assert direct["metric"] == metric
 
-    def test_direction_inference_matches(self):
-        record = load_record_module()
-        from repro.obs.health import _bench_direction
-
-        for metric in [
-            "serve_latency_p50_ms",
-            "build_seconds",
-            "obs_overhead_ratio_p50",
-            "wall_time_s",
-            "serve_throughput_qps",
-            "ndcg_at_20",
-            "recall_at_20",
-            "epoch_speedup_eager_ms",
-            "serving_overhead_ratio_disabled_qps",
-        ]:
-            assert record.infer_direction(metric) == _bench_direction(metric), metric
-
-    def test_suffix_beats_inherited_parent_tokens(self):
-        record = load_record_module()
-        from repro.obs.health import _bench_direction
-
-        # Compound metric names inherit their parent's tokens; the unit
-        # suffix is the ground truth for which way is better.
-        for metric, expect in [
+    @pytest.mark.parametrize(
+        "metric, expect",
+        [
+            ("serve_latency_p50_ms", "lower"),
+            ("build_seconds", "lower"),
+            ("obs_overhead_ratio_p50", "lower"),
+            ("wall_time_s", "lower"),
+            ("serve_throughput_qps", "higher"),
+            ("ndcg_at_20", "higher"),
+            ("recall_at_20", "higher"),
+            ("events_per_s", "higher"),
+            # Compound metric names inherit their parent's tokens; the unit
+            # suffix is the ground truth for which way is better.
             ("epoch_speedup_eager_ms", "lower"),
             ("epoch_speedup_compiled_ms", "lower"),
             ("serving_overhead_ratio_disabled_qps", "higher"),
             ("shadow_p50_overhead_ratio_bare_p50_ms", "lower"),
-            ("events_per_s", "higher"),
-        ]:
-            assert record.infer_direction(metric) == expect, metric
-            assert _bench_direction(metric) == expect, metric
+        ],
+    )
+    def test_direction_inference(self, metric, expect):
+        assert infer_direction(metric) == expect

@@ -101,6 +101,28 @@ class TestCompiledStepProfiling:
         assert "optimizer.step" in profiler.seconds
         assert "sampler.next" in profiler.seconds
 
+    def test_profiled_darec_epoch_keeps_every_key(self, tiny_dataset, tiny_semantic):
+        from repro.align import AlignedRecommender, DaRec, DaRecConfig
+        from repro.models import LightGCN
+        from repro.train import Trainer, TrainingConfig
+
+        def build():
+            backbone = LightGCN(tiny_dataset, embedding_dim=8, num_layers=1, seed=0)
+            alignment = DaRec(backbone, tiny_semantic, DaRecConfig(sample_size=32, num_centers=3))
+            model = AlignedRecommender(backbone, alignment, trade_off=0.1)
+            return Trainer(model, TrainingConfig(epochs=1, batch_size=256, seed=0))
+
+        plain = build().train_epoch()
+        trainer = build()
+        profiler = trainer.enable_profiling()
+        # Profiling wraps the same thunks, so the numbers do not move at all.
+        assert trainer.train_epoch() == plain
+        for key in (
+            "sampler.next", "step.inputs", "optimizer.step", "trace",
+            "replay.bind", "replay.seed", "replay.publish", "host.fwd", "matmul.bwd",
+        ):
+            assert key in profiler.seconds, key
+
     def test_eager_fallback_is_profiled_too(self, tiny_dataset):
         trainer = self._build_trainer(tiny_dataset, compile_flag=False)
         profiler = trainer.enable_profiling()

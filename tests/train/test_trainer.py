@@ -140,10 +140,20 @@ class TestCompiledTraining:
         assert replay_trainer.compiled_step.stats.traces >= 1
         assert replay_trainer.compiled_step.stats.fallbacks == 0
 
-    def test_darec_alignment_bit_identical(self, tiny_dataset, tiny_semantic):
+    @pytest.mark.parametrize(
+        "darec_config",
+        [
+            DaRecConfig(sample_size=48, num_centers=3),
+            DaRecConfig(sample_size=48, num_centers=3).without("local"),
+            DaRecConfig(sample_size=48, num_centers=3, matching="identity"),
+            DaRecConfig(sample_size=48, num_centers=3, uniformity_target="all"),
+        ],
+        ids=["default", "without-local", "identity-matching", "uniformity-all"],
+    )
+    def test_darec_alignment_bit_identical(self, tiny_dataset, tiny_semantic, darec_config):
         def build():
             backbone = LightGCN(tiny_dataset, embedding_dim=16, seed=0)
-            alignment = DaRec(backbone, tiny_semantic, DaRecConfig(sample_size=48, num_centers=3))
+            alignment = DaRec(backbone, tiny_semantic, darec_config)
             return AlignedRecommender(backbone, alignment, trade_off=0.1)
 
         eager_trainer, replay_trainer = self._histories(build)
