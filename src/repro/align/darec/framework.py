@@ -266,13 +266,10 @@ def _assignment_matrices(
     ``assign @ shared`` is the per-cluster mean; ``fallback[c]`` is the frozen
     K-Means centre when cluster ``c`` is empty (zero otherwise).
     """
-    count = len(labels)
-    assign = np.zeros((k, count))
+    counts = np.bincount(labels, minlength=k)
+    assign = np.zeros((k, len(labels)))
+    assign[labels, np.arange(len(labels))] = 1.0 / counts[labels]
     fallback = np.zeros((k, fallback_centers.shape[1]))
-    for cluster in range(k):
-        members = np.where(labels == cluster)[0]
-        if len(members):
-            assign[cluster, members] = 1.0 / len(members)
-        else:
-            fallback[cluster] = fallback_centers[cluster]
+    empty = counts == 0
+    fallback[empty] = fallback_centers[empty]
     return assign, fallback

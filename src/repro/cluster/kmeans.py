@@ -1,9 +1,20 @@
 """K-Means clustering (k-means++ initialisation, Lloyd iterations).
 
 Used by DaRec's local structure alignment (Eq. 6 of the paper) to obtain the
-preference centres of the shared representations, and by the analysis module
-to quantify the cluster structure shown in Fig. 6.  scikit-learn is not
-available offline, hence this self-contained implementation.
+preference centres of the shared representations, by the analysis module to
+quantify the cluster structure shown in Fig. 6, and by the serving IVF index
+to train its cells.  scikit-learn is not available offline, hence this
+self-contained implementation.
+
+Each Lloyd step is vectorised: the per-cluster sums are one row scatter
+(:func:`repro.nn.tensor.scatter_add_rows`, a flattened ``np.bincount`` that
+adds each cluster's members in row order) divided by ``np.bincount(labels)``.
+For ``d >= 2`` columns that is the same sequence of additions and the same
+division as ``np.mean`` over each cluster's members; for one column
+``np.mean`` sums pairwise, so 1-D centres can differ from it in the last
+bits.  Every empty cluster is re-seeded at the point farthest from its
+current centre.  Row norms and ``2 * data`` are computed once per call, not
+once per iteration.
 """
 
 from __future__ import annotations
@@ -11,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..nn.tensor import scatter_add_rows
 
 __all__ = ["KMeansResult", "kmeans", "assign_to_centers"]
 
@@ -48,11 +61,12 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
 
 def assign_to_centers(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Return the index of the nearest centre (squared Euclidean) for every row."""
-    distances = (
-        np.sum(data**2, axis=1, keepdims=True)
-        - 2.0 * data @ centers.T
-        + np.sum(centers**2, axis=1)
-    )
+    return _nearest(np.sum(data**2, axis=1, keepdims=True), 2.0 * data, centers)
+
+
+def _nearest(row_sq: np.ndarray, twice: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """:func:`assign_to_centers` given the row norms and ``2 * data``."""
+    distances = row_sq - twice @ centers.T + np.sum(centers**2, axis=1)
     return np.argmin(distances, axis=1)
 
 
@@ -86,21 +100,21 @@ def kmeans(
         return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iterations=0)
 
     centers = _kmeans_plus_plus(data, k, rng)
-    labels = assign_to_centers(data, centers)
+    row_sq = np.sum(data**2, axis=1, keepdims=True)
+    twice = 2.0 * data
+    labels = _nearest(row_sq, twice, centers)
     iteration = 0
     for iteration in range(1, max_iterations + 1):
-        new_centers = centers.copy()
-        for cluster in range(k):
-            members = data[labels == cluster]
-            if len(members):
-                new_centers[cluster] = members.mean(axis=0)
-            else:
-                # Re-seed empty clusters at the point farthest from its centre.
-                distances = np.sum((data - centers[labels]) ** 2, axis=1)
-                new_centers[cluster] = data[np.argmax(distances)]
+        counts = np.bincount(labels, minlength=k)
+        empty = counts == 0
+        new_centers = scatter_add_rows(labels, data, k) / np.maximum(counts, 1)[:, None]
+        if empty.any():
+            # Re-seed empty clusters at the point farthest from its centre.
+            distances = np.sum((data - centers[labels]) ** 2, axis=1)
+            new_centers[empty] = data[np.argmax(distances)]
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        labels = assign_to_centers(data, centers)
+        labels = _nearest(row_sq, twice, centers)
         if shift < tolerance:
             break
     inertia = float(np.sum((data - centers[labels]) ** 2))

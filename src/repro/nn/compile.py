@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from ..obs.profile import OpProfiler, timed_section
-from .tensor import Tensor, TraceError, _set_tracing, _unbroadcast
+from .tensor import Tensor, TraceError, _set_tracing, _unbroadcast, scatter_add_rows
 
 __all__ = ["compile", "CompiledStep", "CompileStats", "Program", "trace_program", "TraceError"]
 
@@ -982,14 +982,18 @@ def _build_getitem(program, node):
 
 
 def _build_take_rows(program, node):
+    """Gather rows; the VJP sums duplicates with :func:`scatter_add_rows`.
+
+    The scatter is one flattened ``np.bincount`` that adds each row's
+    contributions in index order from zero — the same additions as eager's
+    adjoint, so no persistent zeroed scratch is needed.
+    """
     cells = _cells(program, node)
     a = cells[0]
     (sa, *_rest) = _slots(program, node)
     out = node.slot
     buf = node.cell[0]
-    in_shape = program.nodes[node.parent_ids[0]].shape
-    in_dtype = program.nodes[node.parent_ids[0]].dtype
-    scratch = np.empty(in_shape, in_dtype) if sa is not None else None
+    num_rows = program.nodes[node.parent_ids[0]].shape[0]
 
     if node.ctx[0] == "dynamic":
         index_cell = cells[1]
@@ -1008,10 +1012,8 @@ def _build_take_rows(program, node):
     def backward():
         if not out.filled:
             return
-        if sa is not None:  # eager: zeros; np.add.at(grad, idx, out.grad)
-            scratch.fill(0.0)
-            np.add.at(scratch, current_indices(), out.buf)
-            sa.add(scratch)
+        if sa is not None:
+            sa.add(scatter_add_rows(current_indices(), out.buf, num_rows))
 
     return forward, backward if out is not None else None
 

@@ -27,7 +27,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "is_tracing", "TraceError"]
+__all__ = [
+    "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "is_tracing", "TraceError", "scatter_add_rows",
+]
 
 
 _GRAD_ENABLED = True
@@ -120,11 +122,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def scatter_add_rows(indices, values: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum ``values`` into ``num_rows`` rows by first-axis index (adjoint of a gather).
+
+    Row ``r`` of the result is ``0.0 + values[i0] + values[i1] + ...`` over the
+    positions ``i0 < i1 < ...`` where ``indices`` equals ``r``, added in that
+    order.  That is exactly what NumPy's unbuffered scatter-add (the ``at``
+    method of ``np.add``) computes into a zeroed table; here one flattened
+    ``np.bincount`` does it (element ``j`` of row ``r`` is bin
+    ``r * width + j``), walking its input in order from a float64 zero — so
+    float64 results are bit-identical to that scatter-add, and narrower float
+    dtypes are accumulated in float64 and rounded once.
+    Negative indices wrap as in the gather; ``indices`` may have any shape,
+    ``values`` has shape ``indices.shape + row_shape``.
+    """
+    idx = np.asarray(indices, dtype=np.int64).ravel()
+    idx = np.where(idx < 0, idx + num_rows, idx)
+    row_shape = values.shape[np.ndim(indices):]
+    width = math.prod(row_shape)
+    bins = (idx[:, None] * width + np.arange(width)).ravel()
+    summed = np.bincount(bins, weights=values.ravel(), minlength=num_rows * width)
+    return summed.reshape((num_rows, *row_shape)).astype(values.dtype, copy=False)
+
+
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Coerce ``value`` into a :class:`Tensor` (no copy if already one)."""
     if isinstance(value, Tensor):
         return value
     return Tensor(value, requires_grad=requires_grad)
+
+
+def _row_indices(indices, num_rows: int) -> np.ndarray:
+    """Integer row ids of a static gather index (boolean masks → their nonzeros)."""
+    idx = np.asarray(indices)
+    if idx.dtype == np.bool_:
+        if idx.shape != (num_rows,):
+            raise IndexError(f"boolean mask of shape {idx.shape} does not match {num_rows} rows")
+        return np.flatnonzero(idx)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise TypeError(f"row indices must be integers or a boolean mask, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
 
 
 class Tensor:
@@ -541,35 +578,39 @@ class Tensor:
         )
 
     def take_rows(self, indices) -> "Tensor":
-        """Gather rows (first-axis indexing); adjoint scatters with ``np.add.at``.
+        """Gather rows (first-axis indexing); the adjoint is a bincount row scatter.
 
         ``indices`` may be a plain integer array (baked into the op as a
-        constant) or a :class:`Tensor` — the latter marks the gather as
-        *dynamic* so the compile tracer re-reads the index array on every
-        replay (this is how per-batch user/item ids flow through a compiled
-        step).  Gradients never propagate into the index operand.
+        constant), a 1-D boolean mask over the rows (taken as
+        ``np.flatnonzero(mask)``), or a :class:`Tensor` of integer ids — the
+        latter marks the gather as *dynamic* so the compile tracer re-reads the
+        index array on every replay (this is how per-batch user/item ids flow
+        through a compiled step).  Other non-integer arrays raise
+        ``TypeError``.  The gradient is :func:`scatter_add_rows`, one flattened
+        ``np.bincount``: duplicate rows accumulate in index order from zero.
+        Gradients never propagate into the index operand.
         """
+        num_rows = len(self.data)
         if isinstance(indices, Tensor):
             idx = np.asarray(indices.data, dtype=np.int64)
             parents: tuple[Tensor, ...] = (self, indices)
             ctx: tuple = ("dynamic",)
         else:
-            idx = np.asarray(indices, dtype=np.int64)
+            idx = _row_indices(indices, num_rows)
             parents = (self,)
             ctx = ("static", idx)
 
         def backward(out: Tensor) -> None:
             if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                np.add.at(grad, idx, out.grad)
-                self._accumulate_grad(grad)
+                self._accumulate_grad(scatter_add_rows(idx, out.grad, num_rows))
 
         return Tensor._make(self.data[idx], parents, backward, op="take_rows", ctx=ctx)
 
     def __getitem__(self, key) -> "Tensor":
-        # Fancy integer-array indexing may contain duplicate rows, which the
-        # simple ``grad[key] = out.grad`` scatter would silently overwrite, so
-        # it is routed through :meth:`take_rows` (which uses ``np.add.at``).
+        # Integer arrays may repeat rows, which the simple ``grad[key] =
+        # out.grad`` scatter below would overwrite, and boolean masks select
+        # rows; both go through :meth:`take_rows`, whose adjoint sums
+        # duplicates with :func:`scatter_add_rows`.
         if isinstance(key, (np.ndarray, list, Tensor)):
             return self.take_rows(key)
 

@@ -8,10 +8,15 @@ only the items inside its ``n_probe`` best cells — a fraction of the catalogue
 
 Batched search runs *cell-major*: the per-query probe lists are inverted so
 that each cell is served by a single BLAS matmul against every query probing
-it, each cell's per-query top-K is scattered into a fixed ``(Q, n_probe, k)``
-candidate pool, and one final shared-kernel top-K over the pool produces the
-results.  Training-history exclusion is pre-resolved into (query, cell, item)
-triples once per batch and applied as a vectorised scatter per cell.
+it.  Selection then takes two passes over those score blocks instead of a
+top-K per cell.  The first pass splits each (query, cell) block into column
+groups and records each group's maximum as a *witness*.  Every witness is
+the score of a distinct item, so a query's K-th largest witness is a floor
+under its K-th best score.  The second pass keeps only the entries at or
+above that floor — a few per query — and one final shared-kernel top-K over
+them produces the results.  Training-history exclusion is pre-resolved into
+(query, cell, item) triples once per batch and applied as a vectorised
+scatter per cell, before the witnesses are taken.
 
 Accuracy is a measurable knob rather than a leap of faith: by default the
 probe count self-tunes on the first query batch to the smallest value whose
@@ -33,6 +38,16 @@ __all__ = ["IVFIndex"]
 
 #: Queries sampled from the first batch when auto-tuning ``n_probe``.
 _TUNE_SAMPLE = 128
+
+
+def _stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """Stable argsort of non-negative integer ``keys`` below ``bound``.
+
+    The keys are narrowed to the smallest unsigned type holding ``bound``:
+    numpy sorts 8- and 16-bit keys with a radix sort, several times faster
+    than the timsort it uses for 64-bit ones, with the same result.
+    """
+    return np.argsort(keys.astype(np.min_scalar_type(bound)), kind="stable")
 
 
 class IVFIndex:
@@ -176,22 +191,25 @@ class IVFIndex:
         centroid_scores = queries @ self.centroids.T
         probed = topk_indices(centroid_scores, n_probe, sort=False)  # (Q, p)
 
-        # Invert to cell-major order: which (query, probe-slot) pairs hit each
-        # cell.  One stable sort replaces any per-query Python work.
+        # Invert to cell-major order: which queries probe each cell.  One
+        # stable sort replaces any per-query Python work; ``order`` maps each
+        # cell-major (query, cell) pair back to its place in ``probed``.
         flat_cells = probed.ravel()
-        flat_queries = np.repeat(np.arange(num_queries), n_probe)
-        flat_slots = np.tile(np.arange(n_probe), num_queries)
-        order = np.argsort(flat_cells, kind="stable")
+        order = _stable_argsort(flat_cells, self.n_cells)
         sorted_cells = flat_cells[order]
-        query_of = flat_queries[order]
-        slot_of = flat_slots[order]
+        query_of = order // n_probe
         cell_lo = np.searchsorted(sorted_cells, np.arange(self.n_cells), side="left")
         cell_hi = np.searchsorted(sorted_cells, np.arange(self.n_cells), side="right")
 
         exclusions = self._cell_major_exclusions(probed, exclude)
 
-        pool_ids = np.full((num_queries, n_probe, k), PAD_INDEX, dtype=np.int64)
-        pool_scores = np.full((num_queries, n_probe, k), -np.inf)
+        # Pass 1: score each probed cell and take the witnesses, one row per
+        # cell-major (query, cell) pair.  With ``groups`` column groups per
+        # block every query has at least 2k witness slots (cells smaller than
+        # that leave some at -inf).
+        groups = -(-2 * k // n_probe)
+        witnesses = np.full((len(order), groups), -np.inf)
+        blocks = []
         row_of_query = np.full(num_queries, -1, dtype=np.int64)
         for cell in np.unique(sorted_cells):
             span = slice(cell_lo[cell], cell_hi[cell])
@@ -209,20 +227,43 @@ class IVFIndex:
                     # (a query probes a given cell at most once).
                     row_of_query[cell_queries] = np.arange(len(cell_queries))
                     scores[row_of_query[ex_queries], ex_positions] = -np.inf
-            cell_k = min(k, items.size)
-            selected = topk_indices(scores, cell_k, sort=False)
-            pool_scores[cell_queries, slot_of[span], :cell_k] = np.take_along_axis(
-                scores, selected, axis=1
-            )
-            pool_ids[cell_queries, slot_of[span], :cell_k] = items[selected]
+            group_starts = np.arange(0, items.size, -(-items.size // groups))
+            witnesses[span, : group_starts.size] = np.maximum.reduceat(scores, group_starts, axis=1)
+            blocks.append((span, items, scores))
 
-        pool_ids = pool_ids.reshape(num_queries, n_probe * k)
-        pool_scores = pool_scores.reshape(num_queries, n_probe * k)
-        final = topk_indices(pool_scores, min(k, pool_scores.shape[1]))
+        # At least k entries of a query's blocks score at or above its k-th
+        # largest witness, so every entry of its top K does too.
+        by_query = np.empty_like(witnesses)
+        by_query[order] = witnesses
+        floor = np.partition(by_query.reshape(num_queries, n_probe * groups), -k, axis=1)[:, -k]
+        floor = floor[query_of]
+
+        # Pass 2: keep those entries and lay them out one row per query.
+        kept_queries = [np.empty(0, dtype=np.int64)]
+        kept_ids = [np.empty(0, dtype=np.int64)]
+        kept_scores = [np.empty(0)]
+        for span, items, scores in blocks:
+            flat = np.flatnonzero(scores >= floor[span, None])
+            rows, cols = np.divmod(flat, items.size)
+            kept_queries.append(query_of[span][rows])
+            kept_ids.append(items[cols])
+            kept_scores.append(scores.ravel()[flat])
+        kept_queries = np.concatenate(kept_queries)
+        by_row = _stable_argsort(kept_queries, num_queries)
+        kept_queries = kept_queries[by_row]
+        counts = np.bincount(kept_queries, minlength=num_queries)
+        column = np.arange(kept_queries.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = max(int(counts.max(initial=0)), 1)
+        pool_ids = np.full((num_queries, width), PAD_INDEX, dtype=np.int64)
+        pool_scores = np.full((num_queries, width), -np.inf)
+        pool_ids[kept_queries, column] = np.concatenate(kept_ids)[by_row]
+        pool_scores[kept_queries, column] = np.concatenate(kept_scores)[by_row]
+
+        final = topk_indices(pool_scores, min(k, width))
         out_scores = np.take_along_axis(pool_scores, final, axis=1)
         out_ids = np.take_along_axis(pool_ids, final, axis=1)
         out_ids[np.isneginf(out_scores)] = PAD_INDEX
-        if out_ids.shape[1] < k:  # n_probe * k < k can never happen, defensive
+        if out_ids.shape[1] < k:  # the probed cells held fewer than k items
             pad = k - out_ids.shape[1]
             out_ids = np.pad(out_ids, ((0, 0), (0, pad)), constant_values=PAD_INDEX)
             out_scores = np.pad(out_scores, ((0, 0), (0, pad)), constant_values=-np.inf)

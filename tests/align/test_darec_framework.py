@@ -7,6 +7,7 @@ import pytest
 
 from repro.align import AlignedRecommender, DaRec, DaRecConfig
 from repro.align.darec import local_structure_loss, match_centers
+from repro.align.darec.framework import _assignment_matrices
 from repro.cluster import kmeans
 from repro.data.sampling import sample_instances
 from repro.models import LightGCN
@@ -249,3 +250,36 @@ class TestPreparePureSplit:
             step(params, model.make_step_inputs(bpr_batch))
         assert (step.stats.traces, step.stats.replays) == (1, 4)
         assert len(calls) == traced
+
+
+def loop_assignment_matrices(labels, fallback_centers, k):
+    """One cluster at a time: the form the vectorised version replaced."""
+    assign = np.zeros((k, len(labels)))
+    fallback = np.zeros((k, fallback_centers.shape[1]))
+    for cluster in range(k):
+        members = np.where(labels == cluster)[0]
+        if len(members):
+            assign[cluster, members] = 1.0 / len(members)
+        else:
+            fallback[cluster] = fallback_centers[cluster]
+    return assign, fallback
+
+
+class TestAssignmentMatrices:
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0, 1, 2, 0, 1, 2, 2]),
+            np.array([3, 3, 0, 3, 0, 3, 3]),  # clusters 1 and 2 are empty
+            np.random.default_rng(0).integers(0, 4, size=64),
+            np.array([2]),
+        ],
+        ids=["balanced", "empty-clusters", "darec-shape", "single-point"],
+    )
+    def test_matches_loop_version(self, labels):
+        k = 4
+        centres = np.random.default_rng(1).normal(size=(k, 16))
+        assign, fallback = _assignment_matrices(labels, centres, k)
+        expected_assign, expected_fallback = loop_assignment_matrices(labels, centres, k)
+        assert np.array_equal(assign, expected_assign)
+        assert np.array_equal(fallback, expected_fallback)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import KMeansResult, assign_to_centers, kmeans
+from repro.cluster.kmeans import _kmeans_plus_plus
 
 
 def blobs(k: int = 3, per_cluster: int = 30, spread: float = 0.2, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -153,3 +154,80 @@ class TestAssignToCenters:
         points, _ = blobs(seed=5)
         result = kmeans(points, 3, seed=5)
         np.testing.assert_array_equal(assign_to_centers(points, result.centers), result.labels)
+
+
+def reference_lloyd(data, k, max_iterations=50, tolerance=1e-6, seed=0):
+    """The per-cluster Lloyd loop the vectorised step replaced (``k < n``).
+
+    Returns the :class:`KMeansResult` and how many empty clusters it re-seeded.
+    """
+    rng = np.random.default_rng(seed)
+    centers = _kmeans_plus_plus(data, k, rng)
+    labels = assign_to_centers(data, centers)
+    reseeded = 0
+    iteration = 0
+    for iteration in range(1, max_iterations + 1):
+        new_centers = centers.copy()
+        for cluster in range(k):
+            members = data[labels == cluster]
+            if len(members):
+                new_centers[cluster] = members.mean(axis=0)
+            else:
+                distances = np.sum((data - centers[labels]) ** 2, axis=1)
+                new_centers[cluster] = data[np.argmax(distances)]
+                reseeded += 1
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        labels = assign_to_centers(data, centers)
+        if shift < tolerance:
+            break
+    inertia = float(np.sum((data - centers[labels]) ** 2))
+    return KMeansResult(centers=centers, labels=labels, inertia=inertia, n_iterations=iteration), reseeded
+
+
+def assert_same_result(got: KMeansResult, expected: KMeansResult) -> None:
+    assert np.array_equal(got.centers, expected.centers)
+    assert np.array_equal(got.labels, expected.labels)
+    assert got.inertia == expected.inertia
+    assert got.n_iterations == expected.n_iterations
+
+
+class TestVectorisedLloydStep:
+    """The bincount Lloyd step is bit-identical to the per-cluster loop."""
+
+    def test_random_battery(self):
+        rng = np.random.default_rng(2024)
+        reseeded = 0
+        for case in range(60):
+            n = int(rng.integers(8, 200))
+            d = int(rng.integers(2, 41))
+            k = int(rng.integers(1, min(n - 1, 30) + 1))
+            if case % 3 == 0:
+                # A handful of distinct points repeated: k-means++ picks
+                # duplicate seeds, so some clusters come up empty.
+                distinct = rng.normal(size=(int(rng.integers(2, 6)), d))
+                data = distinct[rng.integers(0, len(distinct), size=n)]
+            else:
+                data = rng.normal(size=(n, d))
+            iterations = int(rng.integers(1, 30))
+            expected, empty = reference_lloyd(data, k, max_iterations=iterations, seed=case)
+            reseeded += empty
+            assert_same_result(kmeans(data, k, max_iterations=iterations, seed=case), expected)
+        assert reseeded > 0
+
+    def test_empty_clusters_share_the_farthest_point(self):
+        data = np.repeat(np.array([[0.0, 0.0], [1.0, 1.0], [5.0, 2.0]]), 10, axis=0)
+        expected, empty = reference_lloyd(data, 6, seed=3)
+        assert empty > 0
+        assert_same_result(kmeans(data, 6, seed=3), expected)
+
+    @pytest.mark.parametrize(
+        "shape, k, iterations",
+        [((64, 16), 4, 15), ((2240, 16), 47, 25)],
+        ids=["darec", "ivf"],
+    )
+    def test_production_shapes(self, shape, k, iterations):
+        data = np.random.default_rng(shape[0]).normal(size=shape)
+        for seed in (0, 1):
+            expected, _ = reference_lloyd(data, k, max_iterations=iterations, seed=seed)
+            assert_same_result(kmeans(data, k, max_iterations=iterations, seed=seed), expected)

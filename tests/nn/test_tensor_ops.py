@@ -175,6 +175,25 @@ class TestShapeGradients:
         tensor.take_rows(np.array([1, 1, 1])).sum().backward()
         np.testing.assert_allclose(tensor.grad, [[0, 0], [3, 3], [0, 0]])
 
+    def test_boolean_mask_selects_rows(self):
+        data = np.arange(8.0).reshape(4, 2)
+        tensor = Tensor(data, requires_grad=True)
+        mask = np.array([False, True, False, True])
+        picked = tensor[mask]
+        np.testing.assert_array_equal(picked.data, data[mask])
+        picked.sum().backward()
+        np.testing.assert_array_equal(tensor.grad, [[0, 0], [1, 1], [0, 0], [1, 1]])
+        np.testing.assert_array_equal(tensor.take_rows([True, False, False, False]).data, data[:1])
+
+    def test_boolean_mask_must_cover_every_row(self):
+        with pytest.raises(IndexError):
+            Tensor(np.ones((4, 2))).take_rows(np.array([True, False]))
+
+    def test_non_integer_indices_rejected(self):
+        with pytest.raises(TypeError):
+            Tensor(np.ones((4, 2))).take_rows(np.array([0.0, 1.5]))
+        assert Tensor(np.ones((4, 2))).take_rows([]).shape == (0, 2)
+
     def test_getitem_slice(self):
         check_gradient(lambda t: (t[1:3] ** 2).sum())
 

@@ -90,6 +90,31 @@ class TestSearch:
         exact_ids, _ = exact_topk(queries, items, 9, exclude=exclude)
         np.testing.assert_array_equal(np.sort(approx_ids), np.sort(exact_ids))
 
+    @pytest.mark.parametrize("n_probe", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 7, 30, 200])
+    def test_partial_probe_is_exact_over_probed_cells(self, n_probe, k):
+        """Every search returns the exact top-K of the cells it probes."""
+        rng = np.random.default_rng(5)
+        items = rng.normal(size=(300, 8))
+        queries = rng.normal(size=(40, 8))
+        banned = [rng.choice(len(items), size=25, replace=False) for _ in queries]
+        indptr = np.concatenate([[0], np.cumsum([len(b) for b in banned])])
+        exclude = (indptr, np.concatenate(banned))
+        index = IVFIndex(items, n_cells=17, seed=0)
+        ids, scores = index.search(queries, k, exclude=exclude, n_probe=n_probe)
+
+        centroid_scores = queries @ index.centroids.T
+        for row, query in enumerate(queries):
+            probed = np.argsort(-centroid_scores[row])[:n_probe]
+            candidates = np.setdiff1d(
+                np.concatenate([index.cell_items(c) for c in probed]), banned[row]
+            )
+            reference = candidates[np.argsort(-(items[candidates] @ query))][:k]
+            found = ids[row][ids[row] != PAD_INDEX]
+            np.testing.assert_array_equal(found, reference)
+            np.testing.assert_allclose(scores[row][: len(found)], items[found] @ query)
+            assert np.isneginf(scores[row][len(found):]).all()
+
     def test_k_larger_than_probed_candidates_pads(self, clustered_corpus):
         queries, items = clustered_corpus
         index = IVFIndex(items, n_cells=8, n_probe=1)
