@@ -36,6 +36,13 @@ Bench tests call ``record`` before their ``assert`` so the breach is
 journaled either way; the bound keeps that ordering from laundering a red
 run into clean history.
 
+Recording into the tracked histories at the repository root is opt-in: only
+with ``REPRO_BENCH_RECORD=1`` does ``record`` write them (one gate,
+:func:`persists`), so a plain test run leaves the checkout clean.  Every other
+step still runs without it: the bound check, the regression check against the
+stored history, and their warnings.  Histories elsewhere (a test's temporary
+directory) are always written.
+
 ``record(..., context=True)`` marks a row as measurement *context* — the raw
 q/s or ms behind a machine-invariant headline ratio.  Context rows are kept
 for forensics but exempt from every regression check (here and in ``repro
@@ -62,10 +69,13 @@ __all__ = [
     "current_commit",
     "env_metadata",
     "infer_direction",
+    "persists",
     "record",
 ]
 
-DEFAULT_HISTORY = Path(__file__).resolve().parent.parent / "BENCH_nn_compile.json"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_HISTORY = REPO_ROOT / "BENCH_nn_compile.json"
+RECORD_ENV = "REPRO_BENCH_RECORD"
 
 #: Row shape version: 1 = {metric, value, commit, date}; 2 adds schema + env.
 RECORD_SCHEMA = 2
@@ -103,6 +113,11 @@ def current_commit() -> str:
     if result.returncode != 0:
         return "unknown"
     return result.stdout.strip() or "unknown"
+
+
+def persists(path: Path) -> bool:
+    """Whether :func:`record` writes ``path``: tracked histories need opt-in."""
+    return os.environ.get(RECORD_ENV) == "1" or path.resolve().parent != REPO_ROOT
 
 
 def _load_history(path: Path) -> list:
@@ -157,6 +172,10 @@ def record(
     is journaled at this commit, ``repro doctor --bench`` surfaces it, and
     no future trailing median treats the failing run as a baseline.  The
     median guard is skipped for such a row — it is already flagged.
+
+    The tracked histories at the repository root are written only with
+    ``REPRO_BENCH_RECORD=1`` (:func:`persists`); without it the row is built
+    and checked the same way and returned unwritten.
 
     ``context=True`` stamps the row ``kind="context"``: raw machine-speed
     numbers (q/s, ms) that explain a headline ratio but must never be
@@ -227,6 +246,8 @@ def record(
                 f"({found['drift']:+.1%})",
                 stacklevel=2,
             )
+    if not persists(path):
+        return row
     payload = json.dumps(rows, indent=2) + "\n"
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"

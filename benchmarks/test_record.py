@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from . import record as record_module
 from .record import (
     RECORD_SCHEMA,
     _load_history,
@@ -297,3 +298,28 @@ class TestContextRecord:
             record(
                 "x_qps", 1.0, path=tmp_path / "b.json", context=True, guard_tolerance=0.1
             )
+
+
+class TestOptInRecording:
+    """Tracked histories at the repository root are written only on opt-in."""
+
+    @pytest.fixture()
+    def tracked(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(record_module, "REPO_ROOT", tmp_path)
+        monkeypatch.delenv(record_module.RECORD_ENV, raising=False)
+        history = tmp_path / "BENCH_x.json"
+        history.write_text(json.dumps([{"metric": "speedup", "value": v} for v in [1.5, 1.5, 1.5]]))
+        return history
+
+    def test_tracked_history_untouched_without_opt_in(self, tracked):
+        before = tracked.read_text()
+        with pytest.warns(UserWarning, match="benchmark regression"):
+            row = record("speedup", 1.0, path=tracked, guard_tolerance=0.15)
+        # The row is built and the stored history still judges it.
+        assert row["value"] == 1.0
+        assert tracked.read_text() == before
+
+    def test_tracked_history_written_with_opt_in(self, tracked, monkeypatch):
+        monkeypatch.setenv(record_module.RECORD_ENV, "1")
+        record("speedup", 1.6, path=tracked)
+        assert [row["value"] for row in json.loads(tracked.read_text())] == [1.5, 1.5, 1.5, 1.6]

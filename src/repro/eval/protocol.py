@@ -7,12 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..data.interactions import InteractionDataset
-from .metrics import ndcg_at_k, recall_at_k
+from .metrics import batch_metrics
 from .topk import topk_indices
 
 __all__ = ["EvaluationResult", "RankingEvaluator", "evaluate_scores"]
-
-_EMPTY_ITEMS = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -41,43 +39,35 @@ def evaluate_scores(
 
     Training items of each user are masked to ``-inf`` so they can never be
     recommended, matching the standard protocol of the compared methods.
+    NaN or ``+inf`` scores raise ``ValueError``.
     """
     if scores.shape != (dataset.num_users, dataset.num_items):
         raise ValueError(
             f"score matrix shape {scores.shape} does not match dataset "
             f"({dataset.num_users}, {dataset.num_items})"
         )
-    positives = dataset.user_positives(split)
-    if not positives:
+    pairs = getattr(dataset, split)
+    if not len(pairs):
         raise ValueError(f"split '{split}' has no interactions to evaluate")
-    train_positives = dataset.train_positives
-    max_k = max(ks)
+    # NaN sorts last and +inf first, so either would hand a diverged model a
+    # plausible top-K list.  -inf is legal: it is the mask value.
+    if not scores.max() < np.inf:
+        nan, posinf = int(np.isnan(scores).sum()), int(np.isposinf(scores).sum())
+        raise ValueError(f"score matrix has {nan} NaN and {posinf} +inf entries")
 
-    per_user: dict[str, list[float]] = {f"recall@{k}": [] for k in ks}
-    per_user.update({f"ndcg@{k}": [] for k in ks})
-
-    users = np.fromiter(positives.keys(), dtype=np.int64, count=len(positives))
+    users, rows = np.unique(pairs[:, 0], return_inverse=True)
     user_scores = scores[users]  # advanced indexing already yields a fresh array
     if mask_train:
-        seen_lists = [train_positives.get(int(user), _EMPTY_ITEMS) for user in users]
-        counts = np.array([len(seen) for seen in seen_lists], dtype=np.int64)
-        if counts.sum():
-            rows = np.repeat(np.arange(len(users)), counts)
-            cols = np.concatenate([seen for seen in seen_lists if len(seen)])
-            user_scores[rows, cols] = -np.inf
-    # One batched argpartition across all evaluated users; per-row results are
-    # bit-identical to the former per-user selection loop.
-    top_lists = topk_indices(user_scores, max_k)
-
-    for row, relevant in enumerate(positives.values()):
-        top_k = top_lists[row]
-        for k in ks:
-            per_user[f"recall@{k}"].append(recall_at_k(top_k, relevant, k))
-            per_user[f"ndcg@{k}"].append(ndcg_at_k(top_k, relevant, k))
-
+        row_of_user = np.full(dataset.num_users, -1, dtype=np.int64)
+        row_of_user[users] = np.arange(len(users))
+        train_rows = row_of_user[dataset.train[:, 0]]
+        evaluated = train_rows >= 0
+        user_scores[train_rows[evaluated], dataset.train[evaluated, 1]] = -np.inf
+    top_lists = topk_indices(user_scores, max(ks))
+    scored = batch_metrics(top_lists, rows, pairs[:, 1], ks)
+    per_user = {f"{name}@{k}": scored[f"{name}@{k}"] for name in ("recall", "ndcg") for k in ks}
     metrics = {key: float(np.mean(values)) for key, values in per_user.items()}
-    arrays = {key: np.asarray(values) for key, values in per_user.items()}
-    return EvaluationResult(metrics=metrics, per_user=arrays, num_users=len(positives))
+    return EvaluationResult(metrics=metrics, per_user=per_user, num_users=len(users))
 
 
 class RankingEvaluator:

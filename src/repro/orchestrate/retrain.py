@@ -57,14 +57,14 @@ from typing import Callable
 
 import numpy as np
 
-from ..eval.metrics import recall_at_k
+from ..eval.metrics import mean_recall
 from ..obs.metrics import get_registry
 from ..obs.tracing import span
 from ..reliability.atomicio import atomic_write_bytes
 from ..reliability.faults import fault_point
 from ..reliability.retry import RetryPolicy, retry
 from ..serve.canary import MODES, CanaryAnalyzer, CanaryDecision, GuardrailPolicy, TrafficSplitter
-from ..serve.retrieval import PAD_INDEX, ExactIndex, Retriever
+from ..serve.retrieval import ExactIndex, Retriever
 from ..serve.snapshot import EmbeddingSnapshot, load_snapshot, save_snapshot
 from ..stream.drift import RefreshSignal
 
@@ -107,14 +107,7 @@ def offline_recall(
         return 0.0
     retriever = Retriever(snapshot, ExactIndex(snapshot.item_embeddings), mask_train=True)
     indices, _ = retriever.topk_for_users(np.asarray(users, dtype=np.int64), k)
-    return float(
-        np.mean(
-            [
-                recall_at_k(indices[row][indices[row] != PAD_INDEX], positives[user], k)
-                for row, user in enumerate(users)
-            ]
-        )
-    )
+    return mean_recall(indices, [positives[user] for user in users], k)
 
 
 class OrchestratorJournal:

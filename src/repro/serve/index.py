@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..cluster import kmeans
+from ..eval.metrics import mean_recall
 from ..eval.topk import topk_indices
 from ..obs.metrics import exponential_buckets, get_registry
 from .retrieval import PAD_INDEX, exact_topk, gather_csr_rows
@@ -356,14 +357,11 @@ class IVFIndex:
         n_probe: int,
     ) -> float:
         approx_ids, _ = self.search(queries, k, exclude=exclude, n_probe=n_probe)
-        recalls = []
-        for row in range(queries.shape[0]):
-            truth = exact_ids[row][exact_ids[row] != PAD_INDEX]
-            if truth.size == 0:
-                continue
-            found = approx_ids[row][approx_ids[row] != PAD_INDEX]
-            recalls.append(np.isin(truth, found).sum() / truth.size)
-        return float(np.mean(recalls)) if recalls else 1.0
+        rows = np.flatnonzero((exact_ids != PAD_INDEX).any(axis=1))
+        if not rows.size:
+            return 1.0
+        truth = [exact_ids[row][exact_ids[row] != PAD_INDEX] for row in rows]
+        return mean_recall(approx_ids[rows], truth, k)
 
     def tune_n_probe(
         self,

@@ -36,7 +36,8 @@ import numpy as np
 
 from ..data.interactions import InteractionDataset
 from ..data.synthetic import load_benchmark
-from ..eval.metrics import recall_at_k
+from ..eval.metrics import mean_recall
+from ..serve.retrieval import PAD_INDEX
 from ..serve.service import RecommendationService
 from ..serve.snapshot import EmbeddingSnapshot, build_snapshot
 from .drift import DriftMetrics, RefreshSignal
@@ -185,14 +186,10 @@ def _mean_recall(
         return 0.0
     # One micro-batched call: all warm users share a single index search.
     recommendations = service.recommend_many(evaluable, k=k)
-    return float(
-        np.mean(
-            [
-                recall_at_k(recommendation.items, positives[user], k)
-                for user, recommendation in zip(evaluable, recommendations)
-            ]
-        )
-    )
+    top = np.full((len(evaluable), k), PAD_INDEX, dtype=np.int64)
+    for row, recommendation in enumerate(recommendations):
+        top[row, : len(recommendation)] = recommendation.items
+    return mean_recall(top, [positives[user] for user in evaluable], k)
 
 
 def simulate_stream(config: StreamSimulationConfig | None = None) -> StreamSimulationResult:

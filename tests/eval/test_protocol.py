@@ -55,6 +55,28 @@ class TestEvaluateScores:
         with pytest.raises(ValueError):
             evaluate_scores(np.zeros((2, 2)), dataset, split="test")
 
+    def test_nan_row_rejected(self):
+        scores = np.zeros((3, 5))
+        scores[1] = np.nan
+        with pytest.raises(ValueError, match="5 NaN and 0 \\+inf"):
+            evaluate_scores(scores, toy_dataset(), ks=(1,))
+
+    def test_posinf_entry_rejected(self):
+        scores = np.zeros((3, 5))
+        scores[2, 4] = np.inf
+        with pytest.raises(ValueError, match="0 NaN and 1 \\+inf"):
+            evaluate_scores(scores, toy_dataset(), ks=(1,))
+
+    def test_all_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="15 NaN"):
+            evaluate_scores(np.full((3, 5), np.nan, dtype=np.float32), toy_dataset(), ks=(1,))
+
+    def test_neginf_scores_are_legal(self):
+        scores = np.full((3, 5), -np.inf)
+        scores[0, 2] = 1.0
+        result = evaluate_scores(scores, toy_dataset(), ks=(1,))
+        assert result.per_user["recall@1"][0] == 1.0
+
     def test_num_users_counts_only_evaluated_users(self):
         dataset = toy_dataset()
         result = evaluate_scores(np.zeros((3, 5)), dataset, split="valid", ks=(5,))

@@ -16,7 +16,7 @@ from repro.orchestrate import (
 )
 from repro.reliability import FaultInjector, RetryPolicy, inject_faults
 from repro.reliability.faults import FAULTS_ENV
-from repro.serve import RecommendationService, build_snapshot
+from repro.serve import PAD_INDEX, ExactIndex, RecommendationService, Retriever, build_snapshot
 from repro.stream.drift import DriftMetrics, RefreshSignal
 
 NUM_USERS, NUM_ITEMS, DIM = 12, 16, 6
@@ -287,6 +287,34 @@ class TestOfflineRecall:
         assert offline_recall(snapshot, {}, k=1) == 0.0
         # Users outside the snapshot are skipped, not crashed on.
         assert offline_recall(snapshot, {99: np.array([0])}, k=1) == 0.0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_identical_to_per_user_mean(self, seed):
+        """PAD-padded rows, empty positives and users outside the table."""
+        rng = np.random.default_rng(seed)
+        k = 10
+        # Users 0-2 trained on 12 of 16 items: 4 candidates, 6 PAD slots.
+        heavy = np.array([[user, item] for user in range(3) for item in range(12)])
+        light = np.stack([rng.integers(3, NUM_USERS, 20), rng.integers(0, NUM_ITEMS, 20)], axis=1)
+        snapshot = build_snapshot(
+            rng.normal(size=(NUM_USERS, DIM)),
+            rng.normal(size=(NUM_ITEMS, DIM)),
+            train_pairs=np.concatenate([heavy, light]),
+        )
+        positives = {user: rng.integers(0, NUM_ITEMS, size=int(rng.integers(1, 6))) for user in range(NUM_USERS)}
+        positives[4] = np.array([], dtype=np.int64)
+        positives[NUM_USERS + 5] = np.array([1, 2])
+
+        retriever = Retriever(snapshot, ExactIndex(snapshot.item_embeddings), mask_train=True)
+        per_user = []
+        for user, relevant in positives.items():
+            if not len(relevant) or user >= NUM_USERS:
+                continue
+            indices, _ = retriever.topk_for_users(np.array([user]), k)
+            top = indices[0][indices[0] != PAD_INDEX]
+            per_user.append(int(np.isin(top, relevant).sum()) / np.unique(relevant).size)
+        assert (retriever.topk_for_users(np.arange(3), k)[0] == PAD_INDEX).sum() == 18
+        assert offline_recall(snapshot, positives, k) == float(np.mean(per_user))
 
     def test_masks_training_history(self):
         users = np.eye(4, dtype=np.float64)
