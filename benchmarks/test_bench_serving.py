@@ -11,9 +11,15 @@ Findings encoded as assertions:
 * the IVF index in its default (self-tuning) configuration keeps recall@20
   against exact scoring at or above 0.95 at every dataset scale;
 * at serving scale (``dataset-scale`` 8.0, ~2.2k items) IVF answers strictly
-  more queries per second than exact blockwise scoring.  At tiny scales
-  (0.5: ~140 items, where the whole catalogue is one small matmul) exact wins
-  and the printed crossover table shows it — IVF is a large-catalogue tool.
+  more queries per second than exact blockwise scoring on a full-size batch.
+
+Whether IVF wins depends on the batch as well as the catalogue: each cell a
+search touches costs a fixed step, so exact scoring wins on tiny catalogues
+(0.5: ~140 items) and on the few queries a service batch holds, even at
+serving scale.  The report-only crossover table sweeps both axes and prints
+the scorer :class:`repro.serve.Retriever` picks for each cell; with
+``REPRO_BENCH_RECORD=1`` it appends the routed-vs-IVF speedup at 8 queries
+per search to ``BENCH_serving.json``.
 """
 
 from __future__ import annotations
@@ -25,14 +31,20 @@ import pytest
 
 from repro.data import load_benchmark
 from repro.serve import ExactIndex, IVFIndex, build_snapshot
+from repro.serve.retrieval import exact_topk, prefers_exact
 
 from .conftest import run_once
+from .record import REPO_ROOT, record
 
 RECALL_TARGET = 0.95
 TOP_K = 20
 NUM_QUERIES = 2048
 #: dataset-scale of the headline throughput comparison (acceptance: >= 0.5).
 SERVING_SCALE = 8.0
+#: Queries per search swept by the crossover table, and the one recorded.
+BATCH_SIZES = (1, 4, 8, 16, 64, 256)
+RECORDED_BATCH = 8
+SERVING_HISTORY = REPO_ROOT / "BENCH_serving.json"
 _corpus_cache: dict[float, tuple] = {}
 
 
@@ -102,20 +114,37 @@ def test_ivf_beats_exact_throughput_at_serving_scale():
 
 
 def test_throughput_crossover_table(capsys):
-    """Report-only: where IVF overtakes exact as the catalogue grows."""
+    """Report-only: exact vs. IVF search time over catalogue size and batch size.
+
+    Each cell times both scorers on one batch and names the one the router
+    picks; the routed time is that scorer's.
+    """
     rows = []
     for scale in (0.5, 2.0, SERVING_SCALE):
         snapshot, queries = serving_corpus(scale)
-        exact = ExactIndex(snapshot.item_embeddings)
-        ivf = IVFIndex(snapshot.item_embeddings, seed=0)
-        ivf.search(queries[:256], TOP_K)
-        exact_time = best_of(lambda: exact.search(queries, TOP_K), repetitions=3)
-        ivf_time = best_of(lambda: ivf.search(queries, TOP_K), repetitions=3)
-        rows.append((scale, snapshot.num_items, NUM_QUERIES / exact_time, NUM_QUERIES / ivf_time))
+        items = snapshot.item_embeddings
+        ivf = IVFIndex(items, seed=0)
+        ivf.search(queries[:256], TOP_K)  # self-tune outside the timer
+        for size in BATCH_SIZES:
+            batch = queries[:size]
+            repetitions = 7 if size <= 16 else 3
+            exact_ms = 1e3 * best_of(lambda: exact_topk(batch, items, TOP_K), repetitions)
+            ivf_ms = 1e3 * best_of(lambda: ivf.search(batch, TOP_K), repetitions)
+            exact = prefers_exact(size, snapshot.num_items, ivf.n_cells, ivf.n_probe)
+            rows.append((scale, snapshot.num_items, size, exact_ms, ivf_ms, "exact" if exact else "ivf"))
     with capsys.disabled():
-        print("\nscale  items  exact q/s      ivf q/s")
-        for scale, items, exact_qps, ivf_qps in rows:
-            print(f"{scale:5.1f}  {items:5d}  {exact_qps:12,.0f}  {ivf_qps:12,.0f}")
+        print("\nscale  items  queries  exact ms    ivf ms  routed")
+        for scale, items, size, exact_ms, ivf_ms, choice in rows:
+            print(f"{scale:5.1f}  {items:5d}  {size:7d}  {exact_ms:8.3f}  {ivf_ms:8.3f}  {choice}")
+
+    *_, exact_ms, ivf_ms, choice = next(
+        row for row in rows if row[0] == SERVING_SCALE and row[2] == RECORDED_BATCH
+    )
+    routed_ms = exact_ms if choice == "exact" else ivf_ms
+    metric = f"routed_vs_ivf_speedup_q{RECORDED_BATCH}"
+    record(metric, ivf_ms / routed_ms, path=SERVING_HISTORY)
+    record(f"{metric}_ivf_ms", ivf_ms, path=SERVING_HISTORY, context=True)
+    record(f"{metric}_routed_ms", routed_ms, path=SERVING_HISTORY, context=True)
 
 
 def test_bench_exact_search(benchmark):

@@ -104,7 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--index",
         choices=("exact", "ivf"),
         default="exact",
-        help="retrieval strategy: exact blockwise scoring or IVF approximate",
+        help="retrieval strategy: exact blockwise scoring, or an IVF approximate index "
+        "(once its probe count is set, batches too small for IVF to pay off are scored exactly)",
     )
     recommend.add_argument(
         "--n-probe", type=int, default=None, help="IVF cells probed per query (default: self-tuned)"

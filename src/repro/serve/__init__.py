@@ -6,7 +6,8 @@ This package turns a trained recommender into an online system answering
 
 * :mod:`repro.serve.snapshot` — export/load frozen embedding snapshots;
 * :mod:`repro.serve.retrieval` — exact blockwise top-K scoring (shared
-  :func:`repro.eval.topk` kernel) and the :class:`Retriever` facade;
+  :func:`repro.eval.topk` kernel) and the :class:`Retriever` facade, which
+  sends each batch to the cheaper of exact scoring and the index;
 * :mod:`repro.serve.index` — :class:`IVFIndex`, approximate retrieval that
   probes only the most promising k-means cells of the catalogue;
 * :mod:`repro.serve.service` — :class:`RecommendationService` with

@@ -23,6 +23,12 @@ probe count self-tunes on the first query batch to the smallest value whose
 measured recall against the exact scorer reaches ``target_recall``
 (:meth:`IVFIndex.tune_n_probe`), and :meth:`IVFIndex.measure_recall` reports
 the overlap for any workload.
+
+IVF pays off with the size of the *batch* as well as of the catalogue.  Each
+cell a search touches costs a fixed Python step, so a handful of queries over
+a few thousand items is cheaper to score exactly.  This class stays a pure
+approximate index; :class:`repro.serve.retrieval.Retriever` decides, batch by
+batch, whether to call it at all (:func:`repro.serve.retrieval.prefers_exact`).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact top-K retrieval over an item embedding table.
+"""Exact top-K retrieval over an item embedding table, and per-batch routing.
 
 The exact scorer is the serving counterpart of the all-ranking evaluator: one
 matmul per query block plus the shared :func:`repro.eval.topk` kernel.  Items
@@ -9,6 +9,14 @@ candidate pool is merged across blocks.
 Excluded items (a user's training history) are assigned a score of ``-inf``;
 result positions that could not be filled with a finite-scored item carry the
 sentinel index ``-1``.
+
+:class:`Retriever` is the single caller of every index, and it sends each
+batch to the cheaper scorer.  An approximate (IVF) index pays a fixed cost per
+cell it touches, so for the few queries a service batch holds, scoring the
+whole catalogue exactly is cheaper — and exact.  :func:`prefers_exact` makes
+the choice from operation counts alone (batch size, catalogue size, cell and
+probe counts), never from timing, so the same batch always takes the same
+path and its answer is reproducible.
 """
 
 from __future__ import annotations
@@ -16,11 +24,46 @@ from __future__ import annotations
 import numpy as np
 
 from ..eval.topk import topk_indices
+from ..obs.metrics import get_registry
 
-__all__ = ["ExactIndex", "Retriever", "exact_topk", "gather_csr_rows", "PAD_INDEX"]
+__all__ = [
+    "ExactIndex",
+    "IVF_CELL_COST",
+    "PAD_INDEX",
+    "Retriever",
+    "exact_topk",
+    "gather_csr_rows",
+    "prefers_exact",
+]
 
 #: Sentinel item id marking an unfilled slot in a top-K result.
 PAD_INDEX = -1
+
+#: Fixed cost of one IVF cell touched by a search, in item rows scored.  Fitted
+#: (least squares on log time) to search times of the ``perfbench`` serve
+#: corpus — 2,240 items, d=16, 47 cells, ``n_probe`` 19, k=20, batches of 1 to
+#: 256 queries on 2 CPUs — where exact scoring wins up to 64 queries per
+#: search and IVF from 128.  It was fitted and checked on that corpus and
+#: machine only; at 560 items and 256 queries it is known to pick IVF where
+#: exact scoring is ~1.6x faster.  Other catalogue sizes and machines are
+#: unverified.
+IVF_CELL_COST = 2300
+
+
+def prefers_exact(num_queries: int, num_items: int, n_cells: int, n_probe: int) -> bool:
+    """Whether exact scoring is estimated to beat an IVF search for one batch.
+
+    Costs are counted in item rows scored.  Exact scoring costs ``Q·N``; IVF
+    costs ``Q·n_probe·N/n_cells`` plus :data:`IVF_CELL_COST` per cell it
+    touches, at most ``min(n_cells, Q·n_probe)``.  The comparison is in exact
+    integer arithmetic, so the decision is a pure function of its arguments.
+    Ties go to exact scoring, whose answers are exact.  The estimate is only
+    as good as :data:`IVF_CELL_COST`, which was fitted on one corpus.
+    """
+    touched = min(n_cells, num_queries * n_probe)
+    exact = num_queries * num_items * n_cells
+    ivf = num_queries * n_probe * num_items + IVF_CELL_COST * touched * n_cells
+    return exact <= ivf
 
 
 def gather_csr_rows(
@@ -179,13 +222,30 @@ class Retriever:
 
     ``index`` is any object following the search protocol
     ``search(queries, k, exclude) -> (indices, scores)``; when omitted an
-    :class:`ExactIndex` over the snapshot's item table is built.
+    :class:`ExactIndex` over the snapshot's item table is built.  An index
+    with an ``n_probe`` attribute is approximate (IVF): once its probe count is
+    set, each batch for which :func:`prefers_exact` holds is scored exactly
+    against ``snapshot.item_embeddings`` instead, bit-identical to
+    :class:`ExactIndex`.  Every other index, and an approximate one that has
+    yet to tune ``n_probe``, always gets ``index.search``.
     """
 
     def __init__(self, snapshot, index=None, mask_train: bool = True) -> None:
         self.snapshot = snapshot
         self.index = index if index is not None else ExactIndex(snapshot.item_embeddings)
         self.mask_train = mask_train
+        self._approximate = hasattr(self.index, "n_probe")
+        # Metric handles bound once (no-ops unless metrics are enabled).
+        registry = get_registry()
+        searches = "batched top-K searches served, by the scorer that ranked them"
+        self._m_exact = registry.counter(
+            "serve.retrieval.searches.total", searches, labels={"scorer": "exact"}
+        )
+        self._m_index = (
+            registry.counter("serve.retrieval.searches.total", searches, labels={"scorer": "ivf"})
+            if self._approximate
+            else self._m_exact
+        )
 
     def exclusions_for(self, user_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if not self.mask_train:
@@ -194,10 +254,23 @@ class Retriever:
             self.snapshot.train_indptr, self.snapshot.train_indices, np.asarray(user_ids)
         )
 
+    def routes_to_exact(self, num_queries: int) -> bool:
+        """Whether a batch of ``num_queries`` skips the index for exact scoring."""
+        if not self._approximate or self.index.n_probe is None:
+            return False
+        return prefers_exact(num_queries, self.snapshot.num_items, self.index.n_cells, self.index.n_probe)
+
     def topk_for_users(self, user_ids, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-K item ids and scores for known user ids, one row per user."""
         user_ids = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
         if user_ids.size and (user_ids.min() < 0 or user_ids.max() >= self.snapshot.num_users):
             raise IndexError("user id out of range for this snapshot")
         queries = self.snapshot.user_embeddings[user_ids]
-        return self.index.search(queries, k, exclude=self.exclusions_for(user_ids))
+        exclude = self.exclusions_for(user_ids)
+        if self.routes_to_exact(len(user_ids)):
+            result = exact_topk(queries, self.snapshot.item_embeddings, k, exclude=exclude)
+            self._m_exact.inc()
+        else:
+            result = self.index.search(queries, k, exclude=exclude)
+            self._m_index.inc()
+        return result

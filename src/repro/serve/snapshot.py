@@ -17,7 +17,7 @@ import io
 import json
 import time
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +67,8 @@ class EmbeddingSnapshot:
     ----------
     user_embeddings, item_embeddings:
         Post-propagation tables; ``user_embeddings @ item_embeddings.T``
-        reproduces the model's ``score_all()`` matrix exactly.
+        reproduces the model's ``score_all()`` matrix exactly.  Both must be
+        finite: a NaN or inf entry raises ``ValueError`` at construction.
     train_indptr, train_indices:
         CSR layout of each user's training items (``train_indices`` holds the
         sorted item ids of user ``u`` in the half-open slice
@@ -78,6 +79,10 @@ class EmbeddingSnapshot:
     metadata:
         JSON-serialisable provenance: format version, producing model and
         dataset, shapes, creation time and a content-addressed ``snapshot_id``.
+    base:
+        Init-only: the snapshot a delta derives from
+        (:func:`build_delta_snapshot`).  An item table shared with ``base``
+        was checked when ``base`` was built, so it is not scanned again.
     """
 
     user_embeddings: np.ndarray
@@ -86,8 +91,9 @@ class EmbeddingSnapshot:
     train_indices: np.ndarray
     item_popularity: np.ndarray
     metadata: dict = field(default_factory=dict)
+    base: InitVar[EmbeddingSnapshot | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, base: EmbeddingSnapshot | None) -> None:
         self.user_embeddings = np.atleast_2d(np.asarray(self.user_embeddings))
         self.item_embeddings = np.atleast_2d(np.asarray(self.item_embeddings))
         self.train_indptr = np.asarray(self.train_indptr, dtype=np.int64)
@@ -102,6 +108,14 @@ class EmbeddingSnapshot:
             raise ValueError("train_indptr must have num_users + 1 entries")
         if len(self.item_popularity) != self.num_items:
             raise ValueError("item_popularity must have one entry per item")
+        tables = ["user_embeddings"]
+        if base is None or self.item_embeddings is not base.item_embeddings:
+            tables.append("item_embeddings")
+        for name in tables:
+            table = getattr(self, name)
+            if not np.isfinite(table).all():
+                bad = int(table.size - np.count_nonzero(np.isfinite(table)))
+                raise ValueError(f"{name} holds {bad} NaN/inf entries; a snapshot must be finite")
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -269,6 +283,7 @@ def build_delta_snapshot(
         train_indices=train_indices,
         item_popularity=item_popularity,
         metadata=metadata,
+        base=base,
     )
 
 

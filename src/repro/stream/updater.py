@@ -148,8 +148,9 @@ class UpdateReport:
     snapshot_id: str
     refresh_signal: RefreshSignal | None = None
     fold_ins: tuple[FoldInResult, ...] = field(default=(), repr=False)
-    #: Events dropped as unusable (item outside the frozen catalogue, or user
-    #: id beyond the configured growth cap) rather than wedging the cycle.
+    #: Events dropped as unusable (item outside the frozen catalogue, NaN/inf
+    #: weight, user id beyond the configured growth cap, or a fold-in that
+    #: came out non-finite) rather than wedging the cycle.
     events_rejected: int = 0
     users_rejected: int = 0
 
@@ -325,9 +326,10 @@ class StreamingUpdater:
         # (carrying over interactions deferred by min_interactions last cycle).
         # Grouping is the vectorised EventBatch.by_user — one stable argsort
         # per batch — so the drain never loops over individual events.  Events
-        # naming items outside the frozen catalogue are dropped (and counted)
-        # rather than raising: a single poison event written straight to the
-        # log must not wedge every future cycle at the same sequence number.
+        # naming items outside the frozen catalogue, or carrying a NaN/inf
+        # weight, are dropped (and counted) rather than raising: a single
+        # poison event written straight to the log must not wedge every future
+        # cycle at the same sequence number.
         pending_items: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {
             user: (list(items), list(weights))
             for user, (items, weights) in self._deferred.items()
@@ -337,7 +339,11 @@ class StreamingUpdater:
         for batch in self.log.replay(self.batch_size, start, stop):
             self.monitor.observe_batch(batch)
             for user, (batch_items, batch_weights) in batch.by_user(with_weights=True).items():
-                valid = (batch_items >= 0) & (batch_items < snapshot.num_items)
+                valid = (
+                    (batch_items >= 0)
+                    & (batch_items < snapshot.num_items)
+                    & np.isfinite(batch_weights)
+                )
                 if not valid.all():
                     events_rejected += int((~valid).sum())
                     batch_items, batch_weights = batch_items[valid], batch_weights[valid]
@@ -387,6 +393,13 @@ class StreamingUpdater:
                 config=self.fold_in,
                 gram=self._item_gram,
             )
+            if not np.isfinite(result.embedding).all():
+                # Finite but extreme weights can still overflow the solve; a
+                # non-finite row would fail the delta snapshot's finite check
+                # and wedge the cycle, so this user's events are dropped.
+                users_rejected += 1
+                events_rejected += len(new_items)
+                continue
             self.monitor.observe_residual(result.residual, count=len(new_items))
             self._m_residual.observe(result.residual)
             fold_ins.append(result)

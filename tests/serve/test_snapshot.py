@@ -135,6 +135,18 @@ class TestBuildSnapshot:
                 item_popularity=np.zeros(2),
             )
 
+    def test_nan_user_row_rejected(self):
+        users = np.ones((3, 2))
+        users[1] = np.nan
+        with pytest.raises(ValueError, match="user_embeddings holds 2 NaN/inf entries"):
+            build_snapshot(users, np.ones((4, 2)))
+
+    def test_inf_item_entry_rejected(self):
+        items = np.ones((4, 2))
+        items[2, 1] = np.inf
+        with pytest.raises(ValueError, match="item_embeddings holds 1 NaN/inf entries"):
+            build_snapshot(np.ones((3, 2)), items)
+
 
 class TestDeltaSnapshot:
     @pytest.fixture()
@@ -196,6 +208,34 @@ class TestDeltaSnapshot:
                 train_indices=base.train_indices,
                 item_popularity=base.item_popularity,
                 event_range=(5, 2),
+            )
+
+    def test_nan_fold_in_rejected(self, base):
+        from repro.serve import build_delta_snapshot
+
+        # A diverged fold-in solve appends a NaN row for the new user.
+        folded = np.vstack([base.user_embeddings, np.full((1, base.dim), np.nan)])
+        with pytest.raises(ValueError, match="user_embeddings holds 6 NaN/inf entries"):
+            build_delta_snapshot(
+                base,
+                user_embeddings=folded,
+                train_indptr=np.append(base.train_indptr, base.train_indptr[-1]),
+                train_indices=base.train_indices,
+                item_popularity=base.item_popularity,
+                event_range=(0, 1),
+            )
+
+    def test_item_table_other_than_the_base_is_still_checked(self, base):
+        items = base.item_embeddings.copy()
+        items[0, 0] = np.nan
+        with pytest.raises(ValueError, match="item_embeddings holds 1 NaN/inf entries"):
+            EmbeddingSnapshot(
+                user_embeddings=base.user_embeddings,
+                item_embeddings=items,
+                train_indptr=base.train_indptr,
+                train_indices=base.train_indices,
+                item_popularity=base.item_popularity,
+                base=base,
             )
 
     def test_delta_round_trips_through_disk(self, base, tmp_path):

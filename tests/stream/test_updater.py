@@ -192,6 +192,46 @@ class TestBookkeeping:
         assert updater.pending() == 0
         assert service.recommend(user).source == "model"
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_dropped_not_wedged(self, rig, snapshot, weight):
+        # A NaN/inf weight would fold into a NaN user row, which the delta
+        # snapshot refuses; the event is dropped so the cursor still advances.
+        service, log, updater = rig
+        user = snapshot.num_users
+        service.record_interaction(0, 1, weight=weight)
+        for item in (1, 2, 3):
+            service.record_interaction(user, item)
+        first = updater.apply()
+        assert first.events_rejected == 1
+        assert first.users_folded_in == 1
+        assert updater.pending() == 0
+        assert np.array_equal(service.snapshot.user_embeddings[0], snapshot.user_embeddings[0])
+        later = user + 1
+        for item in (4, 5):
+            service.record_interaction(later, item)
+        second = updater.apply()
+        assert second.events_rejected == 0
+        assert second.users_folded_in == 1
+        assert service.recommend(later).source == "model"
+        assert np.isfinite(service.snapshot.user_embeddings).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_fold_in_rejects_user_not_wedged(self, rig, snapshot):
+        # Finite weights large enough to overflow the solve give a non-finite
+        # row: that user is rejected, every other user still folds in.
+        service, log, updater = rig
+        user = snapshot.num_users
+        for item in (1, 2, 3):
+            service.record_interaction(0, item, weight=1e308)
+            service.record_interaction(user, item)
+        report = updater.apply()
+        assert report.users_rejected == 1
+        assert report.events_rejected == 3
+        assert report.users_folded_in == 1
+        assert updater.pending() == 0
+        assert np.array_equal(service.snapshot.user_embeddings[0], snapshot.user_embeddings[0])
+        assert service.recommend(user).source == "model"
+
     def test_absurd_user_id_capped_not_oom(self, snapshot):
         service = RecommendationService(snapshot, default_k=5)
         updater = StreamingUpdater(service, EventLog(), max_new_users=100)
