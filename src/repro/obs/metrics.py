@@ -180,6 +180,8 @@ def fraction_over(bounds: tuple[float, ...], counts, threshold: float) -> float:
             else:
                 within = threshold / upper if upper > 0 else 0.0
             below += bucket_count * max(0.0, min(1.0, within))
+        else:
+            break  # bounds ascend: this and every later bucket lie above
     return max(0.0, min(1.0, 1.0 - below / total))
 
 

@@ -119,8 +119,12 @@ class _Tier:
             acc = self._acc
             acc[_TS] = ts
             acc[_LAST] = value
-            acc[_MIN] = min(acc[_MIN], value)
-            acc[_MAX] = max(acc[_MAX], value)
+            # Same picks as min()/max(), ties and NaN included, without two
+            # builtin calls on the health tick's hottest line.
+            if value < acc[_MIN]:
+                acc[_MIN] = value
+            if value > acc[_MAX]:
+                acc[_MAX] = value
             acc[_SUM] += value
             acc[_COUNT] += 1
 

@@ -6,7 +6,10 @@ process needs on top of raw retrieval:
 
 * **micro-batching** — concurrent single-user queries are buffered and
   answered by one batched matmul (``submit()`` / ``flush()``, or implicitly
-  through ``recommend_many``), amortising per-query overhead;
+  through ``recommend_many``), amortising per-query overhead.  A
+  ``submit()`` handle is synchronous: ``result()`` runs the flush itself
+  (under the service lock) if its batch has not been served yet, so there is
+  no cross-thread wait primitive and no per-query event object;
 * **LRU result cache** — repeated queries for the same ``(user, k)`` are
   served from memory; the cache is invalidated atomically when a new snapshot
   is swapped in;
@@ -23,6 +26,7 @@ process needs on top of raw retrieval:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
@@ -95,29 +99,28 @@ class Recommendation:
 class PendingRecommendation:
     """Handle for a query waiting in the micro-batch buffer.
 
-    ``result()`` forces a flush of the owning service's buffer if the batch
-    has not been executed yet, so callers can never deadlock on their own
-    query.
+    The handle is synchronous: its only state is the answer slot, which the
+    flush that serves the query fills.  ``result()`` runs a flush itself if
+    the slot is still empty, so callers can never deadlock on their own
+    query; a caller racing another thread's flush simply waits on the service
+    lock and then finds its answer.  There is no cross-thread wait primitive.
     """
+
+    __slots__ = ("_service", "_result")
 
     def __init__(self, service: "RecommendationService") -> None:
         self._service = service
         self._result: Recommendation | None = None
-        self._ready = threading.Event()
-
-    def _fulfil(self, result: Recommendation) -> None:
-        self._result = result
-        self._ready.set()
 
     @property
     def ready(self) -> bool:
-        return self._ready.is_set()
+        return self._result is not None
 
     def result(self) -> Recommendation:
-        if not self._ready.is_set():
+        if self._result is None:
             self._service.flush()
-        if self._result is None:  # pragma: no cover - defensive
-            raise RuntimeError("micro-batch flush did not fulfil this query")
+            if self._result is None:  # pragma: no cover - defensive
+                raise RuntimeError("micro-batch flush did not fulfil this query")
         return self._result
 
 
@@ -332,7 +335,8 @@ class RecommendationService:
         after which the user stops hitting the popularity fallback.  The item
         id is validated against the current snapshot (the item table is
         frozen, so an unknown item can never be folded in); user ids beyond
-        the table are allowed — that is exactly how brand-new users enter.
+        the table are allowed — that is exactly how brand-new users enter.  A
+        NaN or infinite ``weight`` raises ``ValueError``.
         """
         if self._event_log is None:
             raise RuntimeError(
@@ -344,6 +348,9 @@ class RecommendationService:
             )
         if int(user_id) < 0:
             raise ValueError("user_id must be non-negative")
+        if not math.isfinite(weight):
+            # A NaN/inf weight would fold into a non-finite user row.
+            raise ValueError(f"weight {weight!r} must be finite")
         event = self._event_log.append(int(user_id), int(item_id), timestamp=timestamp, weight=weight)
         with self._lock:
             self.stats.interactions_recorded += 1
@@ -364,7 +371,11 @@ class RecommendationService:
         """The popularity array currently backing the cold-start fallback."""
         if self._popularity_provider is None:
             return self.snapshot.item_popularity
-        popularity = np.asarray(self._popularity_provider())
+        return self._checked_popularity(self._popularity_provider())
+
+    def _checked_popularity(self, provided) -> np.ndarray:
+        """A provider's answer as an array; the wrong shape is a caller bug."""
+        popularity = np.asarray(provided)
         if popularity.shape != (self.snapshot.num_items,):
             raise ValueError(
                 "popularity provider returned shape "
@@ -375,13 +386,15 @@ class RecommendationService:
     # ------------------------------------------------------------------ #
     # Query paths
     # ------------------------------------------------------------------ #
-    def _is_cold(self, user_id: int) -> bool:
-        if user_id < 0 or user_id >= self.snapshot.num_users:
-            return True
-        if self.cold_start_min_history <= 0:
-            return False
-        start, stop = self.snapshot.train_indptr[user_id], self.snapshot.train_indptr[user_id + 1]
-        return int(stop - start) < self.cold_start_min_history
+    def _cold_mask(self, users: list[int]) -> np.ndarray:
+        """Which ``users`` fall back to popularity, in one pass over ``train_indptr``."""
+        ids = np.asarray(users, dtype=np.int64)
+        cold = (ids < 0) | (ids >= self.snapshot.num_users)
+        if self.cold_start_min_history > 0:
+            known = ids[~cold]
+            indptr = self.snapshot.train_indptr
+            cold[~cold] = indptr[known + 1] - indptr[known] < self.cold_start_min_history
+        return cold
 
     def _popularity_fallback(self, user_id: int, k: int) -> Recommendation:
         if self._popularity_provider is None:
@@ -399,12 +412,7 @@ class RecommendationService:
             except Exception:
                 popularity = self.snapshot.item_popularity
             else:
-                popularity = np.asarray(provided)
-                if popularity.shape != (self.snapshot.num_items,):
-                    raise ValueError(
-                        "popularity provider returned shape "
-                        f"{popularity.shape}, expected ({self.snapshot.num_items},)"
-                    )
+                popularity = self._checked_popularity(provided)
             order = np.argsort(-popularity.astype(np.float64), kind="stable").astype(np.int64)
         if self.mask_train and 0 <= user_id < self.snapshot.num_users:
             # Cold-but-known users keep the no-seen-items contract.
@@ -465,28 +473,28 @@ class RecommendationService:
         with self._lock, span("serve.recommend_many", users=len(user_ids), k=k):
             results: dict[int, Recommendation] = {}
             warm: list[int] = []
-            queued = set()
-            # Cache hits/misses are counted per batch, not per user: one
-            # locked inc() per distinct user measurably dents throughput.
-            cache_hits = cache_misses = 0
-            for user in user_ids:
-                if user in results or user in queued:
-                    continue
-                cached = self._cache.get((user, k))
-                if cached is not None:
-                    cache_hits += 1
-                    results[user] = cached
+            # Each distinct user is probed once, in first-appearance order
+            # (the LRU touch order).  Cache hits/misses are counted per
+            # batch: one locked inc() per user measurably dents throughput.
+            distinct = dict.fromkeys(user_ids)
+            misses: list[int] = []
+            cache_get = self._cache.get
+            for user in distinct:
+                cached = cache_get((user, k))
+                if cached is None:
+                    misses.append(user)
                 else:
-                    cache_misses += 1
-                    if self._is_cold(user):
+                    results[user] = cached
+            cache_hits = len(distinct) - len(misses)
+            if cache_hits:
+                self._m_cache_hits.inc(cache_hits)
+            if misses:
+                self._m_cache_misses.inc(len(misses))
+                for user, cold in zip(misses, self._cold_mask(misses).tolist()):
+                    if cold:
                         results[user] = self._popularity_fallback(user, k)
                     else:
                         warm.append(user)
-                        queued.add(user)
-            if cache_hits:
-                self._m_cache_hits.inc(cache_hits)
-            if cache_misses:
-                self._m_cache_misses.inc(cache_misses)
             if warm:
                 batch = np.asarray(warm, dtype=np.int64)
                 rows = None
@@ -572,22 +580,17 @@ class RecommendationService:
                 by_k.setdefault(k, []).append((user, ticket))
             try:
                 for k, entries in by_k.items():
-                    users = [user for user, _ in entries]
-                    served = self.recommend_many(users, k=k)
+                    served = self.recommend_many([user for user, _ in entries], k=k)
                     # recommend_many returns one entry per *requested* position.
-                    for (user, ticket), recommendation in zip(entries, served):
-                        ticket._fulfil(recommendation)
-            finally:
+                    for (_, ticket), recommendation in zip(entries, served):
+                        ticket._result = recommendation
+            except BaseException:
                 # If one group blew up, re-queue the tickets that were never
                 # fulfilled instead of silently stranding them.
-                unserved = [
-                    (user, k, ticket)
-                    for user, k, ticket in pending
-                    if not ticket.ready
-                ]
-                if unserved:
-                    self._pending = unserved + self._pending
-            return len(pending) - len(unserved)
+                unserved = [entry for entry in pending if entry[2]._result is None]
+                self._pending = unserved + self._pending
+                raise
+            return len(pending)
 
     @property
     def pending_count(self) -> int:

@@ -188,11 +188,21 @@ def _train_csr(train_pairs: np.ndarray, num_users: int, num_items: int) -> tuple
     train_pairs = np.asarray(train_pairs, dtype=np.int64)
     if train_pairs.size == 0:
         train_pairs = train_pairs.reshape(0, 2)
-    popularity = np.bincount(train_pairs[:, 1], minlength=num_items)
-    unique_pairs = np.unique(train_pairs, axis=0) if len(train_pairs) else train_pairs
-    counts = np.bincount(unique_pairs[:, 0], minlength=num_users)
+    users, items = train_pairs[:, 0], train_pairs[:, 1]
+    if len(train_pairs) and (
+        train_pairs.min() < 0 or users.max() >= num_users or items.max() >= num_items
+    ):
+        raise ValueError(
+            f"train pairs must hold user ids in [0, {num_users}) and item ids in [0, {num_items})"
+        )
+    popularity = np.bincount(items, minlength=num_items)
+    # One 1-D unique over ``user * num_items + item`` sorts and deduplicates
+    # the pairs in (user, item) order, as np.unique(axis=0) would, at a
+    # fraction of its cost.
+    users, items = np.divmod(np.unique(users * num_items + items), num_items)
+    counts = np.bincount(users, minlength=num_users)
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr.astype(np.int64), unique_pairs[:, 1].copy(), popularity.astype(np.int64)
+    return indptr.astype(np.int64), items, popularity.astype(np.int64)
 
 
 def build_snapshot(

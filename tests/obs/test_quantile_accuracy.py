@@ -8,6 +8,8 @@ the estimate must land within the bucket that contains the true quantile
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,35 @@ class TestFractionOver:
 
     def test_empty(self):
         assert Histogram().fraction_over(0.1) == 0.0
+
+    def test_early_exit_matches_full_scan(self):
+        """Stopping at the first bucket above the threshold changes no bit."""
+
+        def full_scan(bounds, counts, threshold):
+            total = sum(counts)
+            if total == 0:
+                return 0.0
+            below = 0.0
+            for index, bucket_count in enumerate(counts):
+                if index >= len(bounds):
+                    break
+                upper = bounds[index]
+                lower = bounds[index - 1] if index > 0 else 0.0
+                if upper <= threshold:
+                    below += bucket_count
+                elif lower < threshold:
+                    if lower > 0.0:
+                        within = math.log(threshold / lower) / math.log(upper / lower)
+                    else:
+                        within = threshold / upper if upper > 0 else 0.0
+                    below += bucket_count * max(0.0, min(1.0, within))
+            return max(0.0, min(1.0, 1.0 - below / total))
+
+        rng = np.random.default_rng(0)
+        bounds = DEFAULT_BUCKETS
+        thresholds = [*bounds, 0.0, -1.0, 1e-9, 1e9, math.inf, -math.inf, math.nan]
+        for _ in range(50):
+            counts = rng.integers(0, 50, size=len(bounds) + 1).tolist()
+            for threshold in thresholds + rng.uniform(0.0, 2 * bounds[-1], 20).tolist():
+                got = fraction_over(bounds, counts, threshold)
+                assert repr(got) == repr(full_scan(bounds, counts, threshold)), threshold

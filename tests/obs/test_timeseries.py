@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
     MetricsSampler,
+    _Tier,
     TimeSeriesConfig,
     TimeSeriesDB,
     TSDB_SCHEMA,
@@ -138,6 +140,19 @@ class TestTiering:
         series = tsdb._series[("c", ())]
         for tier in series.tiers:
             assert len(tier.points) <= 16
+
+    def test_bucket_extremes_match_builtin_min_max(self):
+        """A bucket's min/max pick what ``min()``/``max()`` would, NaN and ties included."""
+        values = [0.0, -0.0, 2.0, math.nan, -1.0, 2.0, math.inf, -math.inf, 0.5, math.nan, -0.0]
+        for start in range(len(values)):
+            stream = values[start:] + values[:start]
+            tier = _Tier(resolution=100.0, capacity=4)
+            low = high = stream[0]
+            for ts, value in enumerate(stream):
+                tier.add_scalar(float(ts), value)
+                low, high = min(low, value), max(high, value)
+                _, _, got_low, got_high, _, _ = tier._acc
+                assert (repr(got_low), repr(got_high)) == (repr(low), repr(high)), stream[: ts + 1]
 
 
 class TestPersistence:

@@ -10,9 +10,11 @@ import pytest
 from repro.serve import (
     IVFIndex,
     LRUCache,
+    Recommendation,
     RecommendationService,
     create_snapshot,
 )
+from repro.serve.retrieval import PAD_INDEX
 
 
 @pytest.fixture()
@@ -240,6 +242,232 @@ class TestMicroBatching:
                 recommendation.items, reference.recommend(user).items
             )
 
+    def test_result_during_another_threads_flush_returns_its_answer(self, snapshot):
+        # Thread A's flush holds the service lock while it serves; thread B
+        # asks for a ticket in that batch.  B blocks on the lock, then finds
+        # the answer A's flush wrote (no second search is made).
+        service = RecommendationService(snapshot, default_k=5)
+        ticket = service.submit(2)
+        real = service.recommend_many
+        inside, release = threading.Event(), threading.Event()
+        served = []
+
+        def held_open(users, k=None):
+            inside.set()
+            release.wait(timeout=10)
+            served.append(real(users, k=k))
+            return served[-1]
+
+        service.recommend_many = held_open
+        flusher = threading.Thread(target=service.flush)
+        flusher.start()
+        assert inside.wait(timeout=10)
+        answers = []
+        reader = threading.Thread(target=lambda: answers.append(ticket.result()))
+        reader.start()
+        reader.join(timeout=0.05)
+        assert reader.is_alive()  # waiting on the lock A holds
+        release.set()
+        flusher.join(timeout=10)
+        reader.join(timeout=10)
+        assert not flusher.is_alive() and not reader.is_alive()
+        assert len(served) == 1
+        assert answers == [served[0][0]]
+        assert answers[0] is ticket.result()
+
+    def test_result_under_thread_switch_pressure(self, snapshot):
+        # More threads than cores, switching every microsecond: every ticket
+        # still gets its own user's answer, exactly once per query.
+        import sys
+
+        service = RecommendationService(snapshot, batch_size=5, default_k=4, cache_size=8)
+        users = {thread: [(thread * 7 + i) % snapshot.num_users for i in range(40)] for thread in range(8)}
+        answers: dict[int, list] = {}
+
+        def worker(thread):
+            tickets = [service.submit(user) for user in users[thread]]
+            answers[thread] = [ticket.result() for ticket in tickets]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(thread,)) for thread in users]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        reference = RecommendationService(snapshot, default_k=4, cache_size=0)
+        for thread, served in answers.items():
+            assert [answer.user_id for answer in served] == users[thread]
+            for user, answer in zip(users[thread], served):
+                np.testing.assert_array_equal(answer.items, reference.recommend(user).items)
+        assert service.stats.queries == 8 * 40
+        assert service.pending_count == 0
+
+
+class ReferenceService(RecommendationService):
+    """The per-user request path that ``recommend_many`` replaced.
+
+    One cache probe, one cold check and one masked row copy per user, kept
+    here as the reference the vectorised path must match exactly.
+    """
+
+    def _is_cold(self, user_id: int) -> bool:
+        if user_id < 0 or user_id >= self.snapshot.num_users:
+            return True
+        if self.cold_start_min_history <= 0:
+            return False
+        start, stop = self.snapshot.train_indptr[user_id], self.snapshot.train_indptr[user_id + 1]
+        return int(stop - start) < self.cold_start_min_history
+
+    def recommend_many(self, user_ids, k=None, deadline_s=None):
+        k = self.default_k if k is None else int(k)
+        user_ids = [int(user) for user in np.atleast_1d(np.asarray(user_ids, dtype=np.int64))]
+        with self._lock:
+            results = {}
+            warm = []
+            queued = set()
+            cache_hits = cache_misses = 0
+            for user in user_ids:
+                if user in results or user in queued:
+                    continue
+                cached = self._cache.get((user, k))
+                if cached is not None:
+                    cache_hits += 1
+                    results[user] = cached
+                else:
+                    cache_misses += 1
+                    if self._is_cold(user):
+                        results[user] = self._popularity_fallback(user, k)
+                    else:
+                        warm.append(user)
+                        queued.add(user)
+            if cache_hits:
+                self._m_cache_hits.inc(cache_hits)
+            if cache_misses:
+                self._m_cache_misses.inc(cache_misses)
+            if warm:
+                indices, scores = self.retriever.topk_for_users(np.asarray(warm, dtype=np.int64), k)
+                self.stats.batches += 1
+                self.stats.batched_queries += len(warm)
+                self._m_batch_size.observe(len(warm))
+                for row, user in enumerate(warm):
+                    valid = indices[row] != PAD_INDEX
+                    recommendation = Recommendation(
+                        user_id=user,
+                        items=indices[row][valid],
+                        scores=scores[row][valid],
+                        source="model",
+                        snapshot_id=self.snapshot.snapshot_id,
+                    )
+                    results[user] = recommendation
+                    self._cache.put((user, k), recommendation)
+            self.stats.queries += len(user_ids)
+            self._m_queries.inc(len(user_ids))
+            return [results[user] for user in user_ids]
+
+
+EQUIVALENCE_USERS, EQUIVALENCE_ITEMS = 24, 14
+#: 12 is larger than most users' unseen items, so their rows come back padded.
+EQUIVALENCE_KS = (3, 5, 12)
+
+
+@pytest.fixture(scope="module")
+def history_snapshot():
+    """Users with 0 to all 14 items seen (duplicate pairs included)."""
+    from repro.serve import build_snapshot
+
+    rng = np.random.default_rng(7)
+    pairs = []
+    for user in range(EQUIVALENCE_USERS):
+        seen = rng.choice(EQUIVALENCE_ITEMS, size=(0, 1, 2, 5, 9, 12, 14)[user % 7], replace=False)
+        pairs += [(user, item) for item in seen] + [(user, item) for item in seen[:2]]
+    return build_snapshot(
+        rng.standard_normal((EQUIVALENCE_USERS, 4)),
+        rng.standard_normal((EQUIVALENCE_ITEMS, 4)),
+        train_pairs=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def live_provider():
+    """A provider whose ranking changes on every call, so call order shows."""
+    calls = iter(range(1_000_000))
+
+    def provider():
+        return (np.arange(EQUIVALENCE_ITEMS) * 5 + next(calls)) % EQUIVALENCE_ITEMS
+
+    return provider
+
+
+def drive(service, seed: int) -> list:
+    """Seeded batches of direct and submit/flush queries with mixed ``k``.
+
+    Returns ``(k, answer)`` per query.  Ids run from -3 to 3 past the last
+    user, with repeats; submit/flush batches mix every ``k`` and overflow the
+    buffer, so some flushes happen inside ``submit``.
+    """
+    rng = np.random.default_rng(seed)
+    answers = []
+    for step in range(40):
+        users = rng.integers(-3, EQUIVALENCE_USERS + 3, size=int(rng.integers(1, 12))).tolist()
+        if step % 3 == 2:
+            ks = [int(k) for k in rng.choice(EQUIVALENCE_KS, size=len(users))]
+            tickets = [service.submit(user, k=k) for user, k in zip(users, ks)]
+            service.flush()
+            answers += [(k, ticket.result()) for k, ticket in zip(ks, tickets)]
+        else:
+            k = int(rng.choice(EQUIVALENCE_KS))
+            answers += [(k, answer) for answer in service.recommend_many(users, k=k)]
+    return answers
+
+
+class TestRequestPathEquivalence:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("live", [False, True])
+    @pytest.mark.parametrize("cache_size", [0, 3])
+    @pytest.mark.parametrize("min_history", [0, 1, 10_000])
+    def test_matches_per_user_loop(self, history_snapshot, min_history, cache_size, live, seed):
+        from repro.obs.metrics import use_registry
+
+        counters = ("serve.queries.total", "serve.fallbacks.total")
+        outcomes = []
+        for cls in (RecommendationService, ReferenceService):
+            with use_registry() as registry:
+                service = cls(
+                    history_snapshot,
+                    cache_size=cache_size,
+                    batch_size=8,
+                    cold_start_min_history=min_history,
+                    popularity_provider=live_provider() if live else None,
+                )
+                answers = drive(service, seed)
+                cache_series = {"snapshot": history_snapshot.snapshot_id}
+                metrics = [registry.value(name) for name in counters] + [
+                    registry.value(f"serve.cache.{kind}.total", labels=cache_series)
+                    for kind in ("hits", "misses")
+                ]
+            outcomes.append((service, answers, metrics))
+        (service, got, got_metrics), (reference, want, want_metrics) = outcomes
+
+        assert [k for k, _ in got] == [k for k, _ in want]
+        for (_, a), (_, b) in zip(got, want):
+            assert (a.user_id, a.source, a.snapshot_id) == (b.user_id, b.source, b.snapshot_id)
+            assert a.items.dtype == b.items.dtype and a.scores.dtype == b.scores.dtype
+            np.testing.assert_array_equal(a.items, b.items)
+            np.testing.assert_array_equal(a.scores, b.scores)
+        assert service.stats.as_dict() == reference.stats.as_dict()
+        assert (service.cache.hits, service.cache.misses) == (reference.cache.hits, reference.cache.misses)
+        assert list(service.cache._data) == list(reference.cache._data)
+        assert got_metrics == want_metrics
+        # The batches really exercise padded rows and both answer sources.
+        if min_history != 10_000:
+            assert any(a.source == "model" and len(a) < k for k, a in got)
+            assert any(a.source == "model" and len(a) == k for k, a in got)
+        assert any(a.source == "popularity" for _, a in got)
+
 
 class TestSnapshotSwap:
     def test_swap_invalidates_cache(self, lightgcn_backbone, snapshot):
@@ -428,6 +656,17 @@ class TestRecordInteraction:
         service = RecommendationService(snapshot, event_log=EventLog())
         with pytest.raises(ValueError):
             service.record_interaction(-1, 0)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weight(self, snapshot, weight):
+        from repro.stream import EventLog
+
+        log = EventLog()
+        service = RecommendationService(snapshot, event_log=log)
+        with pytest.raises(ValueError, match="weight"):
+            service.record_interaction(0, 1, weight=weight)
+        assert len(log) == 0
+        assert service.stats.interactions_recorded == 0
 
 
 def create_snapshot_variant(snapshot, shift: float = 1.0):

@@ -148,6 +148,50 @@ class TestBuildSnapshot:
             build_snapshot(np.ones((3, 2)), items)
 
 
+def reference_train_csr(pairs, num_users, num_items):
+    """The 2-D ``np.unique(axis=0)`` build the 1-D key build must reproduce."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    popularity = np.bincount(pairs[:, 1], minlength=num_items)
+    unique_pairs = np.unique(pairs, axis=0) if len(pairs) else pairs
+    counts = np.bincount(unique_pairs[:, 0], minlength=num_users)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    return indptr.astype(np.int64), unique_pairs[:, 1].copy(), popularity.astype(np.int64)
+
+
+class TestTrainCsr:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_two_dimensional_unique(self, seed):
+        from repro.serve.snapshot import _train_csr
+
+        rng = np.random.default_rng(seed)
+        num_users, num_items = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        size = int(rng.integers(1, 400))
+        # Users drawn from the first half only, so the rest have no history;
+        # with this many draws most pairs repeat.
+        pairs = np.column_stack(
+            [rng.integers(0, max(num_users // 2, 1), size), rng.integers(0, num_items, size)]
+        )
+        for got, want in zip(_train_csr(pairs, num_users, num_items),
+                             reference_train_csr(pairs, num_users, num_items)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_empty_input(self):
+        from repro.serve.snapshot import _train_csr
+
+        for got, want in zip(_train_csr(np.empty((0, 2)), 3, 4), reference_train_csr([], 3, 4)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (0, -1), (2, 0), (0, 3), (-1, 5)], ids=str
+    )
+    def test_out_of_range_ids_rejected(self, pair):
+        pairs = np.array([[0, 1], pair])
+        with pytest.raises(ValueError):
+            build_snapshot(np.ones((2, 2)), np.ones((3, 2)), train_pairs=pairs)
+
+
 class TestDeltaSnapshot:
     @pytest.fixture()
     def base(self):

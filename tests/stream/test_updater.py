@@ -194,11 +194,12 @@ class TestBookkeeping:
 
     @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
     def test_non_finite_weight_dropped_not_wedged(self, rig, snapshot, weight):
-        # A NaN/inf weight would fold into a NaN user row, which the delta
-        # snapshot refuses; the event is dropped so the cursor still advances.
+        # A NaN/inf weight written straight to the log (the service rejects
+        # it) would fold into a NaN user row, which the delta snapshot
+        # refuses; the event is dropped so the cursor still advances.
         service, log, updater = rig
         user = snapshot.num_users
-        service.record_interaction(0, 1, weight=weight)
+        log.append(0, 1, weight=weight)
         for item in (1, 2, 3):
             service.record_interaction(user, item)
         first = updater.apply()
