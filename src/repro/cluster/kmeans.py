@@ -7,7 +7,7 @@ to train its cells.  scikit-learn is not available offline, hence this
 self-contained implementation.
 
 Each Lloyd step is vectorised: the per-cluster sums are one row scatter
-(:func:`repro.nn.tensor.scatter_add_rows`, a flattened ``np.bincount`` that
+(:func:`repro.nn.primitives.scatter_add_rows`, a flattened ``np.bincount`` that
 adds each cluster's members in row order) divided by ``np.bincount(labels)``.
 For ``d >= 2`` columns that is the same sequence of additions and the same
 division as ``np.mean`` over each cluster's members; for one column
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn.tensor import scatter_add_rows
+from ..nn.primitives import scatter_add_rows
 
 __all__ = ["KMeansResult", "kmeans", "assign_to_centers"]
 

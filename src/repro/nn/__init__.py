@@ -2,22 +2,25 @@
 
 Execution modes
 ---------------
-The substrate has two execution modes for a training step:
+The substrate has two execution modes for a training step, and both run the
+kernels of one primitive table (:mod:`repro.nn.primitives`), where each
+operation's forward kernel and VJP are written once.
 
 **Eager (default).**  Every ``Tensor`` operation immediately computes its
-value and records a closure on the tape; ``loss.backward()`` walks the tape in
-reverse topological order.  Simple, allocation-heavy, rebuilt every step.
+value with the table's forward kernel and records its primitive on the tape;
+``loss.backward()`` walks the tape in reverse topological order, calling each
+node's VJP.  Simple, allocation-heavy, rebuilt every step.
 
 **Compiled (``nn.compile``).**  ``nn.compile(step_fn)`` wraps a function
 ``step_fn(params, inputs) -> loss`` (``params``: list of :class:`Parameter`,
 ``inputs``: dict of NumPy arrays).  The first call *traces* one eager
 execution into a flat program of primitive ops — each node records its
-primitive, input slots, output buffer and VJP — and every later call *replays*
-that program with preallocated forward/backward buffers (``np.<op>(...,
-out=buf)``), fused elementwise chains, and in-place gradient accumulation.
-Replays are bit-identical to eager execution: the same NumPy expressions run
-in the same reverse-topological order, just without Python-graph rebuilding or
-per-step allocation.
+primitive, input slots, output buffer and gradient slot — and every later call
+*replays* that program: the same kernels, handed preallocated forward/backward
+buffers (``np.<op>(..., out=buf)``), with fused elementwise chains and
+in-place gradient accumulation.  Replays are bit-identical to eager execution
+by construction — the same functions run in the same reverse-topological
+order, just without Python-graph rebuilding or per-step allocation.
 
 The trace/replay contract: everything that varies between steps must flow
 through ``params`` or ``inputs`` (index arrays in ``inputs`` reach gathers as

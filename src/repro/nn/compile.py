@@ -1,16 +1,16 @@
 """Compile-and-replay execution for the autograd tape.
 
-The define-by-run tape in :mod:`repro.nn.tensor` rebuilds a Python closure
-graph on every step, even though the compute graph of a training step is
-static across iterations.  This module removes that re-tracing overhead with
-the classic primitive/VJP separation (HIPS autograd) plus loop tracing
-(Dr.Jit): run the step *once* eagerly to record the graph, lift it into a flat
-program of primitive ops, then replay that program on every subsequent step.
+The define-by-run tape in :mod:`repro.nn.tensor` rebuilds its graph of
+:class:`Tensor` nodes on every step, even though the compute graph of a
+training step is static across iterations.  This module removes that
+re-tracing overhead with loop tracing (Dr.Jit): run the step *once* eagerly to
+record the graph, lift it into a flat program of primitive ops, then replay
+that program on every subsequent step.
 
 The replay is faster than eager execution for three reasons:
 
-* **no re-tracing** — no closure allocation, no topological sort, no Python
-  graph walk; forward and backward are flat lists of pre-bound thunks;
+* **no re-tracing** — no tape nodes, no topological sort, no Python graph
+  walk; forward and backward are flat lists of pre-bound thunks;
 * **preallocated buffers** — every intermediate writes into a persistent
   buffer via ``np.<op>(..., out=buf)`` instead of allocating a fresh array;
   elementwise chains whose intermediate values are not needed by any VJP are
@@ -18,9 +18,11 @@ The replay is faster than eager execution for three reasons:
 * **in-place gradient accumulation** — adjoints accumulate with ``+=`` into
   persistent per-node gradient buffers instead of ``grad = grad + g``.
 
-Replays are **bit-identical** to eager execution: every forward thunk and
-every VJP evaluates exactly the same NumPy expression, in exactly the same
-(reverse-topological) order, as the eager closures in ``tensor.py``.
+Replays are **bit-identical** to eager execution by construction: each thunk
+calls the forward kernel or VJP of the op's entry in
+:data:`~repro.nn.primitives.PRIMITIVES` — the same function eager execution
+calls, given buffers instead of ``None`` — in the same (reverse-topological)
+order.  The fusion planner reads its liveness facts from the same entries.
 
 The trace/replay contract
 -------------------------
@@ -51,12 +53,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..obs.profile import OpProfiler, timed_section
-from .tensor import Tensor, TraceError, _set_tracing, _unbroadcast, scatter_add_rows
+from .primitives import PRIMITIVES, cast_unbroadcast
+from .tensor import Tensor, TraceError, _set_tracing
 
 __all__ = ["compile", "CompiledStep", "CompileStats", "Program", "trace_program", "TraceError"]
 
@@ -74,7 +77,6 @@ def _input_tensor(array: np.ndarray) -> Tensor:
     t.data = np.asarray(array)
     t.grad = None
     t.requires_grad = False
-    t._backward = None
     t._parents = ()
     t.name = None
     t._op = None
@@ -83,12 +85,11 @@ def _input_tensor(array: np.ndarray) -> Tensor:
 
 
 class _GradSlot:
-    """Persistent gradient buffer with eager-identical accumulation.
+    """Persistent gradient buffer, accumulated like an eager tensor's ``grad``.
 
-    Mirrors ``Tensor._accumulate_grad``: the incoming gradient is cast to the
-    node dtype and un-broadcast, the first contribution is copied, later ones
-    added — so the floating-point accumulation order and operations are the
-    same as the eager closures, just without per-step allocation.
+    Each share goes through :func:`~repro.nn.primitives.cast_unbroadcast`;
+    the first is copied and later ones added — the eager order, with the sums
+    landing in place instead of in fresh arrays.
     """
 
     __slots__ = ("buf", "filled", "shape", "dtype")
@@ -100,68 +101,12 @@ class _GradSlot:
         self.dtype = dtype
 
     def add(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.dtype), self.shape)
+        grad = cast_unbroadcast(grad, self.shape, self.dtype)
         if self.filled:
             self.buf += grad
         else:
             np.copyto(self.buf, grad)
             self.filled = True
-
-
-# --------------------------------------------------------------------------- #
-# Per-primitive liveness metadata (drives elementwise-chain fusion)
-# --------------------------------------------------------------------------- #
-#: Elementwise ops (output shape == broadcast of inputs, computed pointwise);
-#: only these may join an in-place fused chain.
-_ELEMENTWISE = {
-    "add", "sub", "mul", "div", "neg", "pow", "exp", "log", "relu",
-    "leaky_relu", "softplus", "sigmoid", "tanh", "abs", "clip",
-}
-
-#: Ops whose VJP reads their own *output* buffer (so it must stay live).
-_NEEDS_OUTPUT = {"exp", "sigmoid", "tanh"}
-
-#: Ops whose VJP reads the *value* of the given parent position.  Position -1
-#: means "all parents".  Used to decide whether a producer's value is dead
-#: once the forward pass moves on.
-_NEEDS_PARENT_VALUE: dict[str, tuple[int, ...]] = {
-    "mul": (0, 1),        # grad wrt a needs b, wrt b needs a
-    "div": (0, 1),
-    "pow": (0,),
-    "log": (0,),
-    "relu": (0,),
-    "leaky_relu": (0,),
-    "softplus": (0,),
-    "abs": (0,),
-    "clip": (0,),
-    "matmul": (0, 1),
-}
-
-
-def _vjp_parent_value_needs(op: str, parents_require: Sequence[bool]) -> set[int]:
-    """Parent positions whose *values* this op's VJP will actually read."""
-    needs: set[int] = set()
-    if op == "mul":
-        # grad wrt parent 0 multiplies by parent 1's value and vice versa —
-        # but only if that gradient is actually propagated.
-        if parents_require[0]:
-            needs.add(1)
-        if len(parents_require) > 1 and parents_require[1]:
-            needs.add(0)
-    elif op == "div":
-        if parents_require[0]:
-            needs.add(1)
-        if len(parents_require) > 1 and parents_require[1]:
-            needs.update((0, 1))
-    elif op == "matmul":
-        if parents_require[0]:
-            needs.add(1)
-        if len(parents_require) > 1 and parents_require[1]:
-            needs.add(0)
-    elif op in {"pow", "log", "relu", "leaky_relu", "softplus", "abs", "clip"}:
-        if parents_require[0]:
-            needs.add(0)
-    return needs
 
 
 # --------------------------------------------------------------------------- #
@@ -221,9 +166,9 @@ class Program:
                 kind, op = "const", None
             else:
                 kind, op = "interior", tensor._op
-                if op is None:
+                if op not in PRIMITIVES:
                     raise TraceError(
-                        "traced graph contains a tensor with parents but no recorded primitive"
+                        f"traced graph contains a tensor with parents but no known primitive ({op!r})"
                     )
             node = _Node(
                 index=idx,
@@ -268,15 +213,11 @@ class Program:
             if node_index is not None:
                 slot = self.nodes[node_index].slot
             self._param_grad_publish.append((position, slot))
-        self._num_params = len(params)
-        self._param_ids = tuple(param_ids)
 
         # Buffer allocation with elementwise-chain fusion --------------------
         self.fused_chains = self._plan_fusion()
         for node in self.nodes:
-            if node.kind == "interior" and node.cell[0] is None and node.op not in _VIEW_OPS:
-                if node.op == "sparse_matmul":
-                    continue  # scipy has no out=; the thunk rebinds the cell
+            if node.kind == "interior" and node.cell[0] is None and PRIMITIVES[node.op].buffered:
                 node.cell[0] = np.empty(node.shape, dtype=node.dtype)
 
         # Thunk compilation --------------------------------------------------
@@ -290,13 +231,9 @@ class Program:
         for node in self.nodes:
             if node.kind != "interior":
                 continue
-            build = _BUILDERS.get(node.op)
-            if build is None:
-                raise TraceError(f"primitive '{node.op}' has no compiled implementation")
-            fwd, bwd = build(self, node)
-            if fwd is not None:
-                self._fwd.append(fwd)
-                self._fwd_ops.append(node.op)
+            fwd, bwd = self._thunks(node)
+            self._fwd.append(fwd)
+            self._fwd_ops.append(node.op)
             if bwd is not None:
                 self._bwd.append(bwd)
                 self._bwd_ops.append(node.op)
@@ -306,6 +243,38 @@ class Program:
         self._loss_cell = self.nodes[self._loss_index].cell
         self._loss_slot = self.nodes[self._loss_index].slot
         self._timed: tuple[OpProfiler, list, list] | None = None
+
+    def _thunks(self, node: _Node) -> tuple[Callable[[], None], Callable[[], None] | None]:
+        """Bind the node's table entry into its forward and backward thunks.
+
+        The forward kernel writes into the node's buffer (its own, or its fused
+        chain's scratch); unbuffered ops return a fresh value that rebinds the
+        cell.  ``ws`` keeps the kernels' temporaries across replays.  The
+        backward thunk is :meth:`Tensor._propagate <repro.nn.tensor.Tensor._propagate>`
+        over gradient slots; there is none when no parent takes a gradient.
+        """
+        prim = PRIMITIVES[node.op]
+        forward, vjp, ctx, cell, out, slot = prim.forward, prim.vjp, node.ctx, node.cell, node.cell[0], node.slot
+        cells = [self.nodes[pid].cell for pid in node.parent_ids]
+        targets = [
+            (i, self.nodes[pid].slot.add) for i, pid in enumerate(node.parent_ids) if self.nodes[pid].slot is not None
+        ]
+        ws: dict = {}
+
+        def fwd() -> None:
+            cell[0] = forward(ctx, out, ws, *[c[0] for c in cells])
+
+        def bwd() -> None:
+            if slot.filled:
+                values = [c[0] for c in cells]
+                for i, add in targets:
+                    grad = vjp(i, slot.buf, cell[0], ctx, ws, *values)
+                    if grad is not None:
+                        add(grad)
+
+        if slot is None or vjp is None or not targets:
+            return fwd, None
+        return fwd, bwd
 
     # ------------------------------------------------------------------ #
     # Fusion planning
@@ -325,18 +294,21 @@ class Program:
             for pid in node.parent_ids:
                 consumers.setdefault(pid, []).append(node.index)
 
+        def elementwise(node: _Node) -> bool:
+            return node.kind == "interior" and PRIMITIVES[node.op].elementwise
+
+        def value_reads(node: _Node) -> set[int]:
+            requires = [self.nodes[p].requires_grad for p in node.parent_ids]
+            return PRIMITIVES[node.op].value_reads(requires)
+
         def value_dead(node: _Node) -> bool:
             if node.kind != "interior" or node.index == self._loss_index:
                 return False
-            if node.op in _NEEDS_OUTPUT:
+            if PRIMITIVES[node.op].reads_output:
                 return False
             for cid in consumers.get(node.index, ()):  # consumers' VJP value needs
                 consumer = self.nodes[cid]
-                if consumer.op is None:
-                    return False
-                position = consumer.parent_ids.index(node.index)
-                requires = [self.nodes[p].requires_grad for p in consumer.parent_ids]
-                if position in _vjp_parent_value_needs(consumer.op, requires):
+                if consumer.parent_ids.index(node.index) in value_reads(consumer):
                     return False
             return True
 
@@ -345,8 +317,7 @@ class Program:
         while i < len(self.nodes):
             node = self.nodes[i]
             eligible_head = (
-                node.kind == "interior"
-                and node.op in _ELEMENTWISE
+                elementwise(node)
                 and value_dead(node)
                 and len(consumers.get(node.index, ())) == 1
                 and consumers[node.index][0] == node.index + 1
@@ -358,20 +329,16 @@ class Program:
             j = i + 1
             while j < len(self.nodes):
                 nxt = self.nodes[j]
-                same_shape = nxt.shape == node.shape and nxt.dtype == node.dtype
                 # Non-head members must not read their chain parent's value in
                 # their VJP (it will have been overwritten in the scratch).
-                requires = [self.nodes[p].requires_grad for p in nxt.parent_ids]
-                needs = _vjp_parent_value_needs(nxt.op, requires) if nxt.op else {0}
-                chain_parent_pos = [
+                chain_parent_pos = {
                     pos for pos, pid in enumerate(nxt.parent_ids) if self.nodes[pid].fused or pid == j - 1
-                ]
-                reads_dead = any(pos in needs for pos in chain_parent_pos)
+                }
                 extendable = (
-                    nxt.kind == "interior"
-                    and nxt.op in _ELEMENTWISE
-                    and same_shape
-                    and not reads_dead
+                    elementwise(nxt)
+                    and nxt.shape == node.shape
+                    and nxt.dtype == node.dtype
+                    and not chain_parent_pos & value_reads(nxt)
                     and value_dead(nxt)
                     and len(consumers.get(nxt.index, ())) == 1
                     and consumers[nxt.index][0] == nxt.index + 1
@@ -457,9 +424,6 @@ class Program:
         return len(self.nodes)
 
 
-_VIEW_OPS = {"reshape", "transpose", "getitem"}
-
-
 def _timed(thunk: Callable[[], None], key: str, profiler: OpProfiler) -> Callable[[], None]:
     perf = time.perf_counter
     add = profiler.add
@@ -470,665 +434,6 @@ def _timed(thunk: Callable[[], None], key: str, profiler: OpProfiler) -> Callabl
         add(key, perf() - start)
 
     return timed
-
-
-# --------------------------------------------------------------------------- #
-# Per-primitive thunk builders
-#
-# Every builder returns ``(forward, backward)`` callables (either may be
-# ``None``).  Each mirrors the corresponding eager closure in tensor.py
-# operation-for-operation so replays are bit-identical; comments call out the
-# eager expression being replicated where it is not obvious.
-# --------------------------------------------------------------------------- #
-def _cells(program: Program, node: _Node) -> list[list]:
-    return [program.nodes[pid].cell for pid in node.parent_ids]
-
-def _slots(program: Program, node: _Node) -> list[_GradSlot | None]:
-    return [program.nodes[pid].slot for pid in node.parent_ids]
-
-
-def _build_add(program, node):
-    (a, b), buf = _cells(program, node), node.cell[0]
-    sa, sb = _slots(program, node)
-    out = node.slot
-
-    def forward():
-        np.add(a[0], b[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(out.buf)
-        if sb is not None:
-            sb.add(out.buf)
-
-    return forward, backward if out is not None else None
-
-
-def _build_sub(program, node):
-    (a, b), buf = _cells(program, node), node.cell[0]
-    sa, sb = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sb is not None else None
-
-    def forward():
-        np.subtract(a[0], b[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(out.buf)
-        if sb is not None:
-            np.negative(out.buf, out=scratch)
-            sb.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_neg(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.negative(a[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            np.negative(out.buf, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_mul(program, node):
-    (a, b), buf = _cells(program, node), node.cell[0]
-    sa, sb = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if (sa is not None or sb is not None) else None
-
-    def forward():
-        np.multiply(a[0], b[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * other.data
-            np.multiply(out.buf, b[0], out=scratch)
-            sa.add(scratch)
-        if sb is not None:
-            np.multiply(out.buf, a[0], out=scratch)
-            sb.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_div(program, node):
-    (a, b), buf = _cells(program, node), node.cell[0]
-    sa, sb = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if (sa is not None or sb is not None) else None
-    b_shape = program.nodes[node.parent_ids[1]].shape
-    b_dtype = program.nodes[node.parent_ids[1]].dtype
-    scratch_b = np.empty(b_shape, b_dtype) if sb is not None else None
-
-    def forward():
-        np.true_divide(a[0], b[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad / other.data
-            np.true_divide(out.buf, b[0], out=scratch)
-            sa.add(scratch)
-        if sb is not None:  # eager: -out.grad * self.data / (other.data ** 2)
-            np.negative(out.buf, out=scratch)
-            np.multiply(scratch, a[0], out=scratch)
-            scratch_b[...] = b[0] ** 2  # ndarray.__pow__, matching eager exactly
-            np.true_divide(scratch, scratch_b, out=scratch)
-            sb.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_pow(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    exponent = node.ctx[0]
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        # ndarray.__pow__ has fast paths (e.g. 0.5 -> sqrt) that np.power does
-        # not take; call it directly so values match eager bit-for-bit.
-        buf[...] = a[0] ** exponent
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * exponent * data ** (exponent - 1)
-            np.multiply(out.buf, exponent, out=scratch)
-            np.multiply(scratch, a[0] ** (exponent - 1), out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_matmul(program, node):
-    (a, b), buf = _cells(program, node), node.cell[0]
-    sa, sb = _slots(program, node)
-    out = node.slot
-    a_ndim = len(program.nodes[node.parent_ids[0]].shape)
-    b_ndim = len(program.nodes[node.parent_ids[1]].shape)
-    out_ndim = len(node.shape)
-
-    if out_ndim == 0:
-        def forward():
-            buf[...] = a[0] @ b[0]
-    else:
-        def forward():
-            np.matmul(a[0], b[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        grad = out.buf
-        if sa is not None:
-            if b_ndim == 1:
-                sa.add(np.outer(grad, b[0]) if grad.ndim else grad * b[0])
-            else:
-                sa.add(grad @ b[0].T)
-        if sb is not None:
-            if a_ndim == 1:
-                sb.add(np.outer(a[0], grad) if grad.ndim else a[0] * grad)
-            else:
-                sb.add(a[0].T @ grad)
-
-    return forward, backward if out is not None else None
-
-
-def _reduction_grad_view(grad: np.ndarray, axis, keepdims: bool, shape: tuple[int, ...]) -> np.ndarray:
-    if axis is not None and not keepdims:
-        grad = np.expand_dims(grad, axis=axis)
-    return np.broadcast_to(grad, shape)
-
-
-def _build_sum(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    axis, keepdims = node.ctx
-    in_shape = program.nodes[node.parent_ids[0]].shape
-
-    def forward():
-        np.sum(a[0], axis=axis, keepdims=keepdims, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(_reduction_grad_view(out.buf, axis, keepdims, in_shape))
-
-    return forward, backward if out is not None else None
-
-
-def _build_mean(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    axis, keepdims, count = node.ctx
-    in_shape = program.nodes[node.parent_ids[0]].shape
-    in_dtype = program.nodes[node.parent_ids[0]].dtype
-    scratch = np.empty(in_shape, in_dtype) if sa is not None else None
-
-    def forward():
-        np.mean(a[0], axis=axis, keepdims=keepdims, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: np.broadcast_to(grad, shape) / count
-            np.true_divide(_reduction_grad_view(out.buf, axis, keepdims, in_shape), count, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_amax(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    axis, keepdims = node.ctx
-
-    def forward():
-        np.amax(a[0], axis=axis, keepdims=keepdims, out=buf)
-
-    return forward, None
-
-
-def _build_exp(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.exp(a[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * value
-            np.multiply(out.buf, buf, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_log(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    (eps,) = node.ctx
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():  # eager: np.log(data + eps)
-        np.add(a[0], eps, out=buf)
-        np.log(buf, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad / (data + eps)
-            np.add(a[0], eps, out=scratch)
-            np.true_divide(out.buf, scratch, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_relu(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    mask = np.empty(node.shape, dtype=bool)
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():  # eager: data * (data > 0)
-        np.greater(a[0], 0, out=mask)
-        np.multiply(a[0], mask, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            np.greater(a[0], 0, out=mask)
-            np.multiply(out.buf, mask, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_leaky_relu(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    (negative_slope,) = node.ctx
-    mask = np.empty(node.shape, dtype=bool)
-    slope = np.empty(node.shape, node.dtype)
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def _slope():  # eager: np.where(data > 0, 1.0, negative_slope)
-        np.greater(a[0], 0, out=mask)
-        slope.fill(negative_slope)
-        slope[mask] = 1.0
-
-    def forward():
-        _slope()
-        np.multiply(a[0], slope, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            _slope()
-            np.multiply(out.buf, slope, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_softplus(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.logaddexp(0.0, a[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager factor: 1 / (1 + exp(-clip(data, ±60)))
-            np.clip(a[0], -60.0, 60.0, out=scratch)
-            np.negative(scratch, out=scratch)
-            np.exp(scratch, out=scratch)
-            np.add(1.0, scratch, out=scratch)
-            np.true_divide(1.0, scratch, out=scratch)
-            # eager: out.grad * grad_factor (commutative, bit-identical)
-            np.multiply(scratch, out.buf, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_sigmoid(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-    scratch2 = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():  # eager: 1 / (1 + exp(-clip(data, ±60)))
-        np.clip(a[0], -60.0, 60.0, out=buf)
-        np.negative(buf, out=buf)
-        np.exp(buf, out=buf)
-        np.add(1.0, buf, out=buf)
-        np.true_divide(1.0, buf, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * value * (1 - value)
-            np.multiply(out.buf, buf, out=scratch)
-            np.subtract(1.0, buf, out=scratch2)
-            np.multiply(scratch, scratch2, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_tanh(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.tanh(a[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * (1 - value ** 2)
-            scratch[...] = buf ** 2
-            np.subtract(1.0, scratch, out=scratch)
-            # eager multiplies grad * (1 - v^2); commutative, bit-identical
-            np.multiply(scratch, out.buf, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_abs(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.absolute(a[0], out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * np.sign(data)
-            np.sign(a[0], out=scratch)
-            np.multiply(scratch, out.buf, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_clip(program, node):
-    (a,), buf = _cells(program, node), node.cell[0]
-    (sa,) = _slots(program, node)
-    out = node.slot
-    low, high = node.ctx
-    mask = np.empty(node.shape, dtype=bool) if sa is not None else None
-    mask2 = np.empty(node.shape, dtype=bool) if sa is not None else None
-    scratch = np.empty(node.shape, node.dtype) if sa is not None else None
-
-    def forward():
-        np.clip(a[0], low, high, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: out.grad * ((data >= low) & (data <= high))
-            np.greater_equal(a[0], low, out=mask)
-            np.less_equal(a[0], high, out=mask2)
-            np.logical_and(mask, mask2, out=mask)
-            np.multiply(out.buf, mask, out=scratch)
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_reshape(program, node):
-    (a,) = _cells(program, node)
-    (sa,) = _slots(program, node)
-    out = node.slot
-    shape, original = node.ctx
-    cell = node.cell
-
-    def forward():
-        cell[0] = a[0].reshape(shape)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(out.buf.reshape(original))
-
-    return forward, backward if out is not None else None
-
-
-def _build_transpose(program, node):
-    (a,) = _cells(program, node)
-    (sa,) = _slots(program, node)
-    out = node.slot
-    axes, inverse = node.ctx
-    cell = node.cell
-
-    def forward():
-        cell[0] = a[0].transpose(axes)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(out.buf.transpose(inverse))
-
-    return forward, backward if out is not None else None
-
-
-def _build_getitem(program, node):
-    (a,) = _cells(program, node)
-    (sa,) = _slots(program, node)
-    out = node.slot
-    (key,) = node.ctx
-    cell = node.cell
-    in_shape = program.nodes[node.parent_ids[0]].shape
-    in_dtype = program.nodes[node.parent_ids[0]].dtype
-    scratch = np.empty(in_shape, in_dtype) if sa is not None else None
-
-    def forward():
-        cell[0] = a[0][key]
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:  # eager: zeros; grad[key] = out.grad
-            scratch.fill(0.0)
-            scratch[key] = out.buf
-            sa.add(scratch)
-
-    return forward, backward if out is not None else None
-
-
-def _build_take_rows(program, node):
-    """Gather rows; the VJP sums duplicates with :func:`scatter_add_rows`.
-
-    The scatter is one flattened ``np.bincount`` that adds each row's
-    contributions in index order from zero — the same additions as eager's
-    adjoint, so no persistent zeroed scratch is needed.
-    """
-    cells = _cells(program, node)
-    a = cells[0]
-    (sa, *_rest) = _slots(program, node)
-    out = node.slot
-    buf = node.cell[0]
-    num_rows = program.nodes[node.parent_ids[0]].shape[0]
-
-    if node.ctx[0] == "dynamic":
-        index_cell = cells[1]
-
-        def current_indices() -> np.ndarray:
-            return np.asarray(index_cell[0], dtype=np.int64)
-    else:
-        static_idx = node.ctx[1]
-
-        def current_indices() -> np.ndarray:
-            return static_idx
-
-    def forward():
-        np.take(a[0], current_indices(), axis=0, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(scatter_add_rows(current_indices(), out.buf, num_rows))
-
-    return forward, backward if out is not None else None
-
-
-def _build_concat(program, node):
-    cells = _cells(program, node)
-    slots = _slots(program, node)
-    out = node.slot
-    buf = node.cell[0]
-    axis, offsets = node.ctx
-    ndim = len(node.shape)
-    slicers = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
-        slicer = [slice(None)] * ndim
-        slicer[axis] = slice(start, stop)
-        slicers.append(tuple(slicer))
-
-    def forward():
-        np.concatenate([c[0] for c in cells], axis=axis, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        for slot, slicer in zip(slots, slicers):
-            if slot is not None:
-                slot.add(out.buf[slicer])
-
-    return forward, backward if out is not None else None
-
-
-def _build_stack(program, node):
-    cells = _cells(program, node)
-    slots = _slots(program, node)
-    out = node.slot
-    buf = node.cell[0]
-    (axis,) = node.ctx
-
-    def forward():
-        np.stack([c[0] for c in cells], axis=axis, out=buf)
-
-    def backward():
-        if not out.filled:
-            return
-        grads = np.moveaxis(out.buf, axis, 0)
-        for position, slot in enumerate(slots):
-            if slot is not None:
-                slot.add(grads[position])
-
-    return forward, backward if out is not None else None
-
-
-def _build_sparse_matmul(program, node):
-    (a,) = _cells(program, node)
-    (sa,) = _slots(program, node)
-    out = node.slot
-    (csr,) = node.ctx
-    csr_t = csr.T
-    cell = node.cell
-
-    def forward():
-        cell[0] = np.asarray(csr @ a[0])
-
-    def backward():
-        if not out.filled:
-            return
-        if sa is not None:
-            sa.add(csr_t @ out.buf)
-
-    return forward, backward if out is not None else None
-
-
-def _build_host(program, node):
-    cells = _cells(program, node)
-    buf = node.cell[0]
-    fn, shapes = node.ctx
-
-    def forward():  # eager: concatenate(ravel(fn(*parent data)))
-        outputs = fn(*(cell[0] for cell in cells))
-        got = tuple(np.shape(out) for out in outputs)
-        if got != shapes:
-            raise TraceError(f"host op output shapes changed from {shapes} to {got}")
-        np.concatenate([np.ravel(out) for out in outputs], out=buf)
-
-    return forward, None
-
-
-_BUILDERS: dict[str, Callable] = {
-    "add": _build_add,
-    "sub": _build_sub,
-    "neg": _build_neg,
-    "mul": _build_mul,
-    "div": _build_div,
-    "pow": _build_pow,
-    "matmul": _build_matmul,
-    "sum": _build_sum,
-    "mean": _build_mean,
-    "amax": _build_amax,
-    "exp": _build_exp,
-    "log": _build_log,
-    "relu": _build_relu,
-    "leaky_relu": _build_leaky_relu,
-    "softplus": _build_softplus,
-    "sigmoid": _build_sigmoid,
-    "tanh": _build_tanh,
-    "abs": _build_abs,
-    "clip": _build_clip,
-    "reshape": _build_reshape,
-    "transpose": _build_transpose,
-    "getitem": _build_getitem,
-    "take_rows": _build_take_rows,
-    "concat": _build_concat,
-    "stack": _build_stack,
-    "sparse_matmul": _build_sparse_matmul,
-    "host": _build_host,
-}
 
 
 # --------------------------------------------------------------------------- #

@@ -3,12 +3,12 @@
 Graph collaborative filtering backbones repeatedly compute ``A_hat @ E`` where
 ``A_hat`` is a fixed (non-trainable) normalised adjacency matrix stored in CSR
 format and ``E`` is the trainable embedding table.  The adjoint of that product
-is ``A_hat.T @ grad``, which this module wires onto the autograd tape.
+is ``A_hat.T @ grad`` (the ``sparse_matmul`` primitive of
+:mod:`repro.nn.primitives`).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
 from .tensor import Tensor
@@ -23,10 +23,4 @@ def sparse_dense_matmul(matrix: sp.spmatrix, dense: Tensor) -> Tensor:
             f"dimension mismatch: sparse {matrix.shape} cannot multiply dense {dense.shape}"
         )
     csr = matrix.tocsr()
-    value = csr @ dense.data
-
-    def backward(out: Tensor) -> None:
-        if dense.requires_grad:
-            dense._accumulate_grad(csr.T @ out.grad)
-
-    return Tensor._make(np.asarray(value), (dense,), backward, op="sparse_matmul", ctx=(csr,))
+    return Tensor._apply("sparse_matmul", dense, ctx=(csr, csr.T))

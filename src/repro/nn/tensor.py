@@ -6,17 +6,18 @@ environment, so every differentiable operation needed by the collaborative
 backbones and the alignment losses is implemented here.
 
 The design follows the familiar "define-by-run" tape style: every operation on
-:class:`Tensor` records a closure that knows how to push gradients back to its
-parents, and :meth:`Tensor.backward` walks the tape in reverse topological
-order.  Only the operations actually required by the library are implemented,
-but each supports full NumPy broadcasting where that is meaningful.
+:class:`Tensor` records which primitive produced it (``_op``), the static part
+of its arguments (``_ctx``) and its parents, and :meth:`Tensor.backward` walks
+the tape in reverse topological order.  Only the operations actually required
+by the library are implemented, but each supports full NumPy broadcasting
+where that is meaningful.
 
-Besides the eager closure, every operation also records *which* primitive
-produced it (``_op``) together with the static part of its arguments
-(``_ctx``).  The eager path never looks at this metadata; it exists so that
-:mod:`repro.nn.compile` can lift one recorded graph into a flat program and
-replay it with preallocated buffers instead of re-tracing Python closures on
-every training step (HIPS/autograd-style primitive/VJP separation).
+The arithmetic itself lives in :mod:`repro.nn.primitives`: one table holds
+each primitive's forward kernel and VJP.  A :class:`Tensor` method handles its
+arguments and calls the forward kernel; ``backward`` calls the VJP of each
+node for every parent that requires a gradient.  :mod:`repro.nn.compile`
+lifts the same recorded graph into a flat program that replays those same
+kernels with preallocated buffers instead of re-tracing every training step.
 """
 
 from __future__ import annotations
@@ -27,23 +28,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor", "as_tensor", "no_grad", "is_grad_enabled", "is_tracing", "TraceError", "scatter_add_rows",
-]
+from .primitives import PRIMITIVES, TraceError, _unbroadcast, cast_unbroadcast, pack_host_outputs
+
+__all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled", "is_tracing", "TraceError"]
 
 
 _GRAD_ENABLED = True
 _TRACING = False
-
-
-class TraceError(RuntimeError):
-    """Raised when a graph cannot be lifted into a compiled program.
-
-    Typical causes: an operation without a recorded primitive, or a construct
-    whose behaviour is impure across steps (e.g. an active Dropout mask).
-    :mod:`repro.nn.compile` treats this as a signal to fall back to eager
-    re-tracing rather than replaying a silently wrong program.
-    """
 
 
 class no_grad:
@@ -103,48 +94,6 @@ def _set_tracing(flag: bool) -> bool:
     return previous
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce ``grad`` so that it matches ``shape`` after a broadcast op.
-
-    NumPy broadcasting either prepends new axes or stretches axes of size one;
-    the adjoint of broadcasting is therefore a sum over exactly those axes.
-    """
-    if grad.shape == shape:
-        return grad
-    # Sum over the prepended axes first.
-    extra_dims = grad.ndim - len(shape)
-    if extra_dims > 0:
-        grad = grad.sum(axis=tuple(range(extra_dims)))
-    # Then sum over axes that were stretched from size one.
-    stretched = tuple(i for i, size in enumerate(shape) if size == 1 and grad.shape[i] != 1)
-    if stretched:
-        grad = grad.sum(axis=stretched, keepdims=True)
-    return grad.reshape(shape)
-
-
-def scatter_add_rows(indices, values: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum ``values`` into ``num_rows`` rows by first-axis index (adjoint of a gather).
-
-    Row ``r`` of the result is ``0.0 + values[i0] + values[i1] + ...`` over the
-    positions ``i0 < i1 < ...`` where ``indices`` equals ``r``, added in that
-    order.  That is exactly what NumPy's unbuffered scatter-add (the ``at``
-    method of ``np.add``) computes into a zeroed table; here one flattened
-    ``np.bincount`` does it (element ``j`` of row ``r`` is bin
-    ``r * width + j``), walking its input in order from a float64 zero — so
-    float64 results are bit-identical to that scatter-add, and narrower float
-    dtypes are accumulated in float64 and rounded once.
-    Negative indices wrap as in the gather; ``indices`` may have any shape,
-    ``values`` has shape ``indices.shape + row_shape``.
-    """
-    idx = np.asarray(indices, dtype=np.int64).ravel()
-    idx = np.where(idx < 0, idx + num_rows, idx)
-    row_shape = values.shape[np.ndim(indices):]
-    width = math.prod(row_shape)
-    bins = (idx[:, None] * width + np.arange(width)).ravel()
-    summed = np.bincount(bins, weights=values.ravel(), minlength=num_rows * width)
-    return summed.reshape((num_rows, *row_shape)).astype(values.dtype, copy=False)
-
-
 def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     """Coerce ``value`` into a :class:`Tensor` (no copy if already one)."""
     if isinstance(value, Tensor):
@@ -177,7 +126,7 @@ class Tensor:
         :meth:`backward` is called on a downstream scalar.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name", "_op", "_ctx")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "name", "_op", "_ctx")
 
     def __init__(
         self,
@@ -192,7 +141,6 @@ class Tensor:
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None
         self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
-        self._backward: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = tuple(_parents)
         self.name = name
         self._op: str | None = None
@@ -247,11 +195,22 @@ class Tensor:
     # Tape machinery
     # ------------------------------------------------------------------ #
     def _accumulate_grad(self, grad: np.ndarray) -> None:
-        grad = _unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape)
+        grad = cast_unbroadcast(grad, self.data.shape, self.data.dtype)
         if self.grad is None:
-            self.grad = grad.copy()
+            self.grad = np.empty(self.data.shape, self.data.dtype)
+            np.copyto(self.grad, grad)  # broadcasts a reduction's gradient
         else:
             self.grad = self.grad + grad
+
+    def _propagate(self) -> None:
+        """Push :attr:`grad` to the parents through this node's primitive VJP."""
+        vjp = PRIMITIVES[self._op].vjp
+        values = [parent.data for parent in self._parents]
+        for i, parent in enumerate(self._parents):
+            if parent.requires_grad:
+                grad = vjp(i, self.grad, self.data, self._ctx, None, *values)
+                if grad is not None:
+                    parent._accumulate_grad(grad)
 
     def _toposort(self) -> list["Tensor"]:
         """Reverse-topological node order rooted at ``self`` (parents first)."""
@@ -283,88 +242,54 @@ class Tensor:
                 raise ValueError("backward() without a gradient requires a scalar tensor")
             grad = np.ones_like(self.data)
         topo = self._toposort()
-        self._accumulate_grad(grad)
+        # The seed must match this tensor's shape up to a broadcast; a smaller
+        # one raises here instead of being broadcast as a kept-dims share.
+        self._accumulate_grad(_unbroadcast(np.asarray(grad, dtype=self.data.dtype), self.data.shape))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward()
+            if node.requires_grad and node._op is not None and node.grad is not None:
+                node._propagate()
 
     @staticmethod
-    def _make(
-        data: np.ndarray,
-        parents: Sequence["Tensor"],
-        backward: Callable[["Tensor"], None] | None,
-        op: str | None = None,
-        ctx: tuple = (),
-    ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        keep_parents = requires or _TRACING
-        out = Tensor(data, requires_grad=requires, _parents=parents if keep_parents else ())
-        if requires and backward is not None:
-            out._backward = lambda: backward(out)
+    def _make(data, parents: Sequence["Tensor"], op: str, ctx: tuple = ()) -> "Tensor":
+        """Record ``data``, computed by primitive ``op`` from ``parents``, on the tape."""
+        requires = (
+            _GRAD_ENABLED and PRIMITIVES[op].vjp is not None and any(p.requires_grad for p in parents)
+        )
+        out = Tensor(data, requires_grad=requires, _parents=parents if requires or _TRACING else ())
         out._op = op
         out._ctx = ctx
         return out
+
+    @staticmethod
+    def _apply(op: str, *parents: "Tensor", ctx: tuple = ()) -> "Tensor":
+        """Run primitive ``op``'s forward kernel on ``parents`` and record the result."""
+        data = PRIMITIVES[op].forward(ctx, None, None, *[p.data for p in parents])
+        return Tensor._make(data, parents, op, ctx)
 
     # ------------------------------------------------------------------ #
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other) -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad)
-            if other.requires_grad:
-                other._accumulate_grad(out.grad)
-
-        return Tensor._make(self.data + other.data, (self, other), backward, op="add")
+        return Tensor._apply("add", self, as_tensor(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(-out.grad)
-
-        return Tensor._make(-self.data, (self,), backward, op="neg")
+        return Tensor._apply("neg", self)
 
     def __sub__(self, other) -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad)
-            if other.requires_grad:
-                other._accumulate_grad(-out.grad)
-
-        return Tensor._make(self.data - other.data, (self, other), backward, op="sub")
+        return Tensor._apply("sub", self, as_tensor(other))
 
     def __rsub__(self, other) -> "Tensor":
         return as_tensor(other).__sub__(self)
 
     def __mul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * other.data)
-            if other.requires_grad:
-                other._accumulate_grad(out.grad * self.data)
-
-        return Tensor._make(self.data * other.data, (self, other), backward, op="mul")
+        return Tensor._apply("mul", self, as_tensor(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad / other.data)
-            if other.requires_grad:
-                other._accumulate_grad(-out.grad * self.data / (other.data**2))
-
-        return Tensor._make(self.data / other.data, (self, other), backward, op="div")
+        return Tensor._apply("div", self, as_tensor(other))
 
     def __rtruediv__(self, other) -> "Tensor":
         return as_tensor(other).__truediv__(self)
@@ -372,46 +297,16 @@ class Tensor:
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * exponent * self.data ** (exponent - 1))
-
-        return Tensor._make(self.data**exponent, (self,), backward, op="pow", ctx=(exponent,))
+        return Tensor._apply("pow", self, ctx=(exponent,))
 
     def __matmul__(self, other) -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(out: Tensor) -> None:
-            grad = out.grad
-            if self.requires_grad:
-                if other.data.ndim == 1:
-                    self._accumulate_grad(np.outer(grad, other.data) if grad.ndim else grad * other.data)
-                else:
-                    self._accumulate_grad(grad @ other.data.T)
-            if other.requires_grad:
-                if self.data.ndim == 1:
-                    other._accumulate_grad(np.outer(self.data, grad) if grad.ndim else self.data * grad)
-                else:
-                    other._accumulate_grad(self.data.T @ grad)
-
-        return Tensor._make(self.data @ other.data, (self, other), backward, op="matmul")
+        return Tensor._apply("matmul", self, as_tensor(other))
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            if not self.requires_grad:
-                return
-            grad = out.grad
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._accumulate_grad(np.broadcast_to(grad, self.data.shape))
-
-        return Tensor._make(
-            self.data.sum(axis=axis, keepdims=keepdims), (self,), backward, op="sum", ctx=(axis, keepdims)
-        )
+        return Tensor._apply("sum", self, ctx=(axis, keepdims))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -419,22 +314,7 @@ class Tensor:
         else:
             axes = (axis,) if isinstance(axis, int) else tuple(axis)
             count = int(np.prod([self.data.shape[a] for a in axes]))
-
-        def backward(out: Tensor) -> None:
-            if not self.requires_grad:
-                return
-            grad = out.grad
-            if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._accumulate_grad(np.broadcast_to(grad, self.data.shape) / count)
-
-        return Tensor._make(
-            self.data.mean(axis=axis, keepdims=keepdims),
-            (self,),
-            backward,
-            op="mean",
-            ctx=(axis, keepdims, count),
-        )
+        return Tensor._apply("mean", self, ctx=(axis, keepdims, count))
 
     def amax(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Max-reduction treated as a *constant* on the tape (no gradient).
@@ -446,102 +326,40 @@ class Tensor:
         dataflow visible to the compile tracer so replays recompute the shift
         from the current input instead of baking a stale constant.
         """
-        out = Tensor(
-            self.data.max(axis=axis, keepdims=keepdims),
-            requires_grad=False,
-            _parents=(self,) if _TRACING else (),
-        )
-        out._op = "amax"
-        out._ctx = (axis, keepdims)
-        return out
+        return Tensor._apply("amax", self, ctx=(axis, keepdims))
 
     # ------------------------------------------------------------------ #
     # Elementwise non-linearities
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
-        value = np.exp(self.data)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * value)
-
-        return Tensor._make(value, (self,), backward, op="exp")
+        return Tensor._apply("exp", self)
 
     def log(self, eps: float = 1e-12) -> "Tensor":
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad / (self.data + eps))
-
-        return Tensor._make(np.log(self.data + eps), (self,), backward, op="log", ctx=(eps,))
+        return Tensor._apply("log", self, ctx=(eps,))
 
     def sqrt(self) -> "Tensor":
         return self ** 0.5
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * mask)
-
-        return Tensor._make(self.data * mask, (self,), backward, op="relu")
+        return Tensor._apply("relu", self)
 
     def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        slope = np.where(self.data > 0, 1.0, negative_slope)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * slope)
-
-        return Tensor._make(
-            self.data * slope, (self,), backward, op="leaky_relu", ctx=(negative_slope,)
-        )
+        return Tensor._apply("leaky_relu", self, ctx=(negative_slope,))
 
     def softplus(self) -> "Tensor":
-        value = np.logaddexp(0.0, self.data)
-        grad_factor = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * grad_factor)
-
-        return Tensor._make(value, (self,), backward, op="softplus")
+        return Tensor._apply("softplus", self)
 
     def sigmoid(self) -> "Tensor":
-        value = 1.0 / (1.0 + np.exp(-np.clip(self.data, -60.0, 60.0)))
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * value * (1.0 - value))
-
-        return Tensor._make(value, (self,), backward, op="sigmoid")
+        return Tensor._apply("sigmoid", self)
 
     def tanh(self) -> "Tensor":
-        value = np.tanh(self.data)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * (1.0 - value**2))
-
-        return Tensor._make(value, (self,), backward, op="tanh")
+        return Tensor._apply("tanh", self)
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * sign)
-
-        return Tensor._make(np.abs(self.data), (self,), backward, op="abs")
+        return Tensor._apply("abs", self)
 
     def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad * mask)
-
-        return Tensor._make(np.clip(self.data, low, high), (self,), backward, op="clip", ctx=(low, high))
+        return Tensor._apply("clip", self, ctx=(low, high))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -549,15 +367,7 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.data.shape
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad.reshape(original))
-
-        return Tensor._make(
-            self.data.reshape(shape), (self,), backward, op="reshape", ctx=(tuple(shape), original)
-        )
+        return Tensor._apply("reshape", self, ctx=(tuple(shape), self.data.shape))
 
     @property
     def T(self) -> "Tensor":
@@ -567,15 +377,7 @@ class Tensor:
         if axes is None:
             axes = tuple(reversed(range(self.data.ndim)))
         axes = tuple(axes)
-        inverse = np.argsort(axes)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(out.grad.transpose(inverse))
-
-        return Tensor._make(
-            self.data.transpose(axes), (self,), backward, op="transpose", ctx=(axes, tuple(inverse))
-        )
+        return Tensor._apply("transpose", self, ctx=(axes, tuple(np.argsort(axes))))
 
     def take_rows(self, indices) -> "Tensor":
         """Gather rows (first-axis indexing); the adjoint is a bincount row scatter.
@@ -586,62 +388,28 @@ class Tensor:
         latter marks the gather as *dynamic* so the compile tracer re-reads the
         index array on every replay (this is how per-batch user/item ids flow
         through a compiled step).  Other non-integer arrays raise
-        ``TypeError``.  The gradient is :func:`scatter_add_rows`, one flattened
+        ``TypeError``.  The gradient is
+        :func:`~repro.nn.primitives.scatter_add_rows`, one flattened
         ``np.bincount``: duplicate rows accumulate in index order from zero.
         Gradients never propagate into the index operand.
         """
-        num_rows = len(self.data)
         if isinstance(indices, Tensor):
-            idx = np.asarray(indices.data, dtype=np.int64)
-            parents: tuple[Tensor, ...] = (self, indices)
-            ctx: tuple = ("dynamic",)
-        else:
-            idx = _row_indices(indices, num_rows)
-            parents = (self,)
-            ctx = ("static", idx)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                self._accumulate_grad(scatter_add_rows(idx, out.grad, num_rows))
-
-        return Tensor._make(self.data[idx], parents, backward, op="take_rows", ctx=ctx)
+            return Tensor._apply("take_rows", self, indices, ctx=("dynamic",))
+        return Tensor._apply("take_rows", self, ctx=("static", _row_indices(indices, len(self.data))))
 
     def __getitem__(self, key) -> "Tensor":
-        # Integer arrays may repeat rows, which the simple ``grad[key] =
-        # out.grad`` scatter below would overwrite, and boolean masks select
-        # rows; both go through :meth:`take_rows`, whose adjoint sums
-        # duplicates with :func:`scatter_add_rows`.
+        # Integer arrays and boolean masks select rows: :meth:`take_rows`
+        # handles both (and dynamic index tensors); every other key, tuples
+        # holding index arrays included, is a plain NumPy index.
         if isinstance(key, (np.ndarray, list, Tensor)):
             return self.take_rows(key)
-
-        def backward(out: Tensor) -> None:
-            if self.requires_grad:
-                grad = np.zeros_like(self.data)
-                grad[key] = out.grad
-                self._accumulate_grad(grad)
-
-        return Tensor._make(self.data[key], (self,), backward, op="getitem", ctx=(key,))
+        return Tensor._apply("getitem", self, ctx=(key,))
 
     @staticmethod
     def concat(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
         tensors = [as_tensor(t) for t in tensors]
-        sizes = [t.data.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-
-        def backward(out: Tensor) -> None:
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    slicer = [slice(None)] * out.grad.ndim
-                    slicer[axis] = slice(start, stop)
-                    tensor._accumulate_grad(out.grad[tuple(slicer)])
-
-        return Tensor._make(
-            np.concatenate([t.data for t in tensors], axis=axis),
-            tensors,
-            backward,
-            op="concat",
-            ctx=(axis, tuple(int(o) for o in offsets)),
-        )
+        offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+        return Tensor._apply("concat", *tensors, ctx=(axis, tuple(int(o) for o in offsets)))
 
     @staticmethod
     def host(fn: Callable[..., Sequence[np.ndarray]], *parents) -> tuple["Tensor", ...]:
@@ -656,13 +424,9 @@ class Tensor:
         replay whose outputs change shape raises :class:`TraceError`.
         """
         parents = tuple(as_tensor(p) for p in parents)
-        outputs = [np.asarray(out, dtype=np.float64) for out in fn(*(p.data for p in parents))]
-        shapes = tuple(out.shape for out in outputs)
-        packed = Tensor(
-            np.concatenate([out.ravel() for out in outputs]), _parents=parents if _TRACING else ()
-        )
-        packed._op = "host"
-        packed._ctx = (fn, shapes)
+        outputs = fn(*(p.data for p in parents))
+        shapes = tuple(np.shape(out) for out in outputs)
+        packed = Tensor._make(pack_host_outputs(outputs, shapes), parents, "host", (fn, shapes))
         views = []
         start = 0
         for shape in shapes:
@@ -673,14 +437,4 @@ class Tensor:
 
     @staticmethod
     def stack(tensors: Iterable["Tensor"], axis: int = 0) -> "Tensor":
-        tensors = [as_tensor(t) for t in tensors]
-
-        def backward(out: Tensor) -> None:
-            grads = np.moveaxis(out.grad, axis, 0)
-            for tensor, grad in zip(tensors, grads):
-                if tensor.requires_grad:
-                    tensor._accumulate_grad(grad)
-
-        return Tensor._make(
-            np.stack([t.data for t in tensors], axis=axis), tensors, backward, op="stack", ctx=(axis,)
-        )
+        return Tensor._apply("stack", *[as_tensor(t) for t in tensors], ctx=(axis,))

@@ -50,9 +50,9 @@ def run_both_arms(step_fn, make_params, inputs_seq, lr=0.05):
     return replay_step
 
 
-def make_params_factory(*arrays):
+def make_params_factory(*arrays, dtype=np.float64):
     def factory():
-        return [Parameter(np.array(a, dtype=np.float64)) for a in arrays]
+        return [Parameter(np.array(a, dtype=dtype)) for a in arrays]
 
     return factory
 
@@ -61,6 +61,7 @@ RNG = np.random.default_rng(7)
 X = RNG.normal(size=(6, 4))
 W = RNG.normal(size=(4, 3))
 B = RNG.normal(size=(3,))
+DTYPES = [np.float32, np.float64]
 
 
 class TestPerOpBitIdentity:
@@ -165,6 +166,96 @@ class TestPerOpBitIdentity:
 
         inputs_seq = [{"x": RNG.normal(size=X.shape)} for _ in range(3)]
         run_both_arms(step, make_params_factory(X), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("rhs_shape", [(6, 4), (1, 4), ()], ids=["full", "row", "scalar"])
+    @pytest.mark.parametrize(
+        "name,op",
+        [
+            ("add", lambda a, b: a + b),
+            ("sub", lambda a, b: a - b),
+            ("mul", lambda a, b: a * b),
+            ("div", lambda a, b: a / b),
+        ],
+    )
+    def test_binary_op_both_operands(self, name, op, rhs_shape, dtype):
+        """Both operands trained, the right one possibly broadcast.
+
+        The upstream gradient is a random input (not the all-ones seed of a
+        bare ``.sum()``), so each VJP branch — the subtrahend of ``sub``, the
+        divisor of ``div``, each side of ``mul``/``add`` — is checked.
+        """
+        rng = np.random.default_rng(17)
+        # Divisors sit in [2, 3] so a few SGD steps never cross zero.
+        rhs = rng.uniform(2.0, 3.0, size=rhs_shape)
+
+        def step(p, i):
+            return (op(p[0], p[1]) * i["x"]).sum()
+
+        inputs_seq = [{"x": rng.normal(size=X.shape).astype(dtype)} for _ in range(3)]
+        run_both_arms(step, make_params_factory(X, rhs, dtype=dtype), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_matmul_both_operands(self, dtype):
+        def step(p, i):
+            return ((p[0] @ p[1]) * i["y"]).sum()
+
+        inputs_seq = [{"y": RNG.normal(size=(6, 3)).astype(dtype)} for _ in range(3)]
+        run_both_arms(step, make_params_factory(X, W, dtype=dtype), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_pow_half(self, dtype):
+        """The ``** 0.5`` fast path that ``l2_normalize`` takes."""
+
+        def step(p, i):
+            return (((p[0] * p[0]).sum(axis=1, keepdims=True) + 1e-12) ** 0.5 * i["x"]).sum()
+
+        inputs_seq = [{"x": RNG.normal(size=(6, 1)).astype(dtype)} for _ in range(3)]
+        run_both_arms(step, make_params_factory(X, dtype=dtype), inputs_seq)
+
+
+class TestGetitemAdvancedIndex:
+    """Repeated positions of an advanced-index key sum their gradients."""
+
+    @pytest.mark.parametrize("mode", ["eager", "replay"])
+    @pytest.mark.parametrize(
+        "key",
+        [
+            (np.array([0, 0, 1]), np.array([1, 1, 2])),
+            (slice(None), np.array([2, 2, 0])),
+        ],
+        ids=["pairs", "columns"],
+    )
+    def test_repeated_positions_accumulate(self, mode, key):
+        x = np.arange(6.0).reshape(2, 3)
+        weights = np.arange(1.0, 1.0 + x[key].size).reshape(x[key].shape)
+        expected = np.zeros_like(x)
+        np.add.at(expected, key, weights)
+
+        params = [Parameter(x.copy())]
+        step = nn_compile(lambda p, i: (p[0][key] * as_tensor(weights)).sum(), mode=mode)
+        for _ in range(2):  # the trace and a replay
+            step(params, {})
+            np.testing.assert_array_equal(params[0].grad, expected)
+
+
+class TestEmptyBroadcastShares:
+    """An empty batch broadcast against a bias gives the bias a zero gradient."""
+
+    @pytest.mark.parametrize("mode", ["eager", "replay"])
+    @pytest.mark.parametrize("bias_shape", [(2,), (1, 2)], ids=["vector", "row"])
+    def test_empty_gather_plus_bias(self, mode, bias_shape):
+        params = [Parameter(np.ones((4, 2))), Parameter(np.ones(bias_shape))]
+        step = nn_compile(lambda p, i: (p[0].take_rows(np.array([], dtype=np.int64)) + p[1]).sum(), mode=mode)
+        for _ in range(2):  # the trace and a replay
+            assert step(params, {}) == 0.0
+            np.testing.assert_array_equal(params[0].grad, np.zeros((4, 2)))
+            np.testing.assert_array_equal(params[1].grad, np.zeros(bias_shape))
+
+    def test_backward_seed_of_wrong_shape_raises(self):
+        x = Parameter(np.ones((4, 2)))
+        with pytest.raises(ValueError):
+            (x * 2.0).backward(np.ones((1, 2)))
 
 
 class TestMultiStepTraining:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter, Tensor, compile as nn_compile
-from repro.nn.tensor import scatter_add_rows
+from repro.nn.primitives import scatter_add_rows
 
 
 def add_at_reference(indices, values, num_rows):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Tensor, as_tensor, is_grad_enabled, no_grad
-from repro.nn.tensor import _unbroadcast
+from repro.nn.primitives import _unbroadcast
 
 
 class TestBackwardMechanics:
