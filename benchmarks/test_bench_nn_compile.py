@@ -1,28 +1,37 @@
 """Bench — nn.compile: trace/replay execution vs eager on LightGCN + DaRec.
 
 Two identically seeded trainers run the same epochs; the compiled arm must
-produce a **bit-identical** loss curve while beating the eager arm on
-steady-state epoch time (the first epoch, which pays the one-off trace cost,
-is excluded from timing but included in the equivalence check).
+produce a **bit-identical** loss curve and must not be slower than the eager
+arm (the first epoch, which pays the one-off trace cost, is excluded from
+timing but included in the equivalence check).
 
-Timing is **paired**: the arms alternate epoch by epoch, each adjacent
+Timing is **paired**: the arms alternate epoch by epoch, so each adjacent
 (eager, compiled) pair sees the same machine-load window, and the speedup is
-the median of the per-pair ratios.  On a quiet machine this reads ~2.5–4×
-(see ``BENCH_nn_compile.json`` for the recorded history); the asserted floor
-is deliberately lower because shared CI boxes run under heavy external
-contention, which compresses the ratio — the floor guards "compiled is
-clearly faster", the history file tracks the real figure.
+the median of the per-pair ratios.  That ratio only guards ">= 1.0x": it
+moves whenever the eager path changes speed, so it cannot say whether the
+compiled epoch itself got slower.
 
-``REPRO_BENCH_SMOKE=1`` shrinks everything to CI-smoke sizes and only asserts
-the compiled arm is not *slower* (>= 1.0x).  Either way the measured speedup
-is appended to ``BENCH_nn_compile.json`` via :mod:`benchmarks.record`.
+The compiled epoch is guarded on its own, in units of a fixed
+:class:`ReferenceKernel` of interpreter and NumPy work timed right before and
+right after each compiled epoch (the model is ``perfbench``'s
+``Speedometer``).  The kernel is benchmark code, so a change to the program
+cannot move it; a machine running slow slows both alike.  The median over the
+pairs, ``compiled_epoch_time_ref``, must stay under
+:data:`COMPILED_EPOCH_CEILING`.
+
+``REPRO_BENCH_SMOKE=1`` shrinks everything to CI-smoke sizes and asserts only
+bit-identity and ">= 1.0x".  Either way the measurements are recorded to
+``BENCH_nn_compile.json`` via :mod:`benchmarks.record`.
 """
 
 from __future__ import annotations
 
+import gc
+import math
 import os
 import statistics
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,8 +46,72 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") not in {"0", "", "false", "Fals
 
 #: Timed epoch pairs (one extra warm-up epoch per arm pays the trace).
 TIMED_EPOCHS = 2 if SMOKE else 5
-#: CI smoke only guards against regressions; the full run holds the floor.
-SPEEDUP_FLOOR = 1.0 if SMOKE else 1.2
+#: The compiled arm must not be slower than the eager one.
+SPEEDUP_FLOOR = 1.0
+#: Ceiling on the full-size compiled epoch, in reference-kernel units: the top
+#: of the distribution measured before DaRec steps shared one propagation
+#: (8 full tier-1 runs on 2 CPUs, numpy 2.4.6: 6.50-7.01, median 6.76).  After
+#: it, 10 runs read 5.28-6.60 (median 5.80), and every run with each replay
+#: spun 20% longer read 7.09-7.67.
+COMPILED_EPOCH_CEILING = 7.0
+
+
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic collector out of a timed section (as ``timeit`` does).
+
+    A collection scans every tracked object in the process, so inside a full
+    test run it costs more than alone and lands in whichever section tripped it.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class ReferenceKernel:
+    """A fixed slice of interpreter and NumPy work, timed between epochs.
+
+    Small-array ufunc and matmul dispatch (what a replay is made of), a
+    row gather with a bincount scatter, and a dictionary tally, in roughly
+    equal parts.  :meth:`read` returns the best of :data:`REPEATS` timings in
+    seconds; a compiled epoch divided by the mean of the readings around it
+    is its time on a machine where the kernel takes one unit.
+    """
+
+    REPEATS = 3
+
+    def __init__(self) -> None:
+        rng = np.random.default_rng(0)
+        self.left = rng.standard_normal((64, 16))
+        self.right = rng.standard_normal((16, 16))
+        self.table = rng.standard_normal((2048, 32))
+        self.rows = rng.integers(0, 2048, size=1024)
+        self.keys = rng.integers(0, 4096, size=6000).tolist()
+
+    def _work(self) -> None:
+        value = self.left
+        for _ in range(300):
+            value = np.tanh(value @ self.right * 0.1 + self.left)
+        gathered = np.take(self.table, self.rows, axis=0)
+        for _ in range(8):
+            bins = (self.rows[:, None] * 32 + np.arange(32)).ravel()
+            np.bincount(bins, weights=gathered.ravel(), minlength=self.table.size)
+        tally: dict[int, int] = {}
+        for key in self.keys:
+            tally[key] = tally.get(key, 0) + 1
+
+    def read(self) -> float:
+        best = math.inf
+        with _gc_paused():
+            for _ in range(self.REPEATS):
+                start = time.perf_counter()
+                self._work()
+                best = min(best, time.perf_counter() - start)
+        return best
 
 
 def _build_trainer(dataset, semantic, scale, compile_flag: bool) -> Trainer:
@@ -55,9 +128,10 @@ def _build_trainer(dataset, semantic, scale, compile_flag: bool) -> Trainer:
 
 
 def _timed_epoch(trainer: Trainer, losses: list) -> float:
-    start = time.perf_counter()
-    losses.append(trainer.train_epoch())
-    return time.perf_counter() - start
+    with _gc_paused():
+        start = time.perf_counter()
+        losses.append(trainer.train_epoch())
+        return time.perf_counter() - start
 
 
 def test_compiled_training_speedup_with_bit_identical_losses():
@@ -75,12 +149,17 @@ def test_compiled_training_speedup_with_bit_identical_losses():
 
     # Paired, interleaved timing: each ratio compares two epochs that ran
     # back to back, so external load hits both arms of a pair alike and the
-    # median ratio is robust to the odd preempted epoch.
+    # median ratio is robust to the odd preempted epoch.  The reference
+    # kernel is read right before and right after each compiled epoch.
+    kernel = ReferenceKernel()
     eager_times: list[float] = []
     compiled_times: list[float] = []
+    compiled_units: list[float] = []
     for _ in range(TIMED_EPOCHS):
         eager_times.append(_timed_epoch(eager_trainer, eager_losses))
+        before = kernel.read()
         compiled_times.append(_timed_epoch(compiled_trainer, compiled_losses))
+        compiled_units.append(compiled_times[-1] / statistics.fmean((before, kernel.read())))
     ratios = [e / c for e, c in zip(eager_times, compiled_times)]
 
     # Equivalence: the whole curve (warm-up included) matches bitwise.
@@ -96,21 +175,27 @@ def test_compiled_training_speedup_with_bit_identical_losses():
     assert stats.replays > 0
 
     speedup = statistics.median(ratios)
-    metric = "epoch_speedup_smoke" if SMOKE else "epoch_speedup"
-    # The speedup has drifted down over the history (compiled_ms roughly
-    # doubled as later PRs grew the instrumented step); guard_tolerance makes
-    # any further slide show up as a warning row in the committed history,
-    # and bound= keeps a sub-floor run out of future medians, so the trend
-    # is consciously revisited instead of silently flaking near the floor.
-    record(metric, speedup, guard_tolerance=0.15, bound=SPEEDUP_FLOOR)
-    record(f"{metric}_eager_ms", 1000.0 * statistics.median(eager_times), context=True)
+    compiled_epoch = statistics.median(compiled_units)
+    suffix = "_smoke" if SMOKE else ""
+    # The speedup only has to clear 1.0x (bound= journals a run below it);
+    # the compiled epoch in kernel units is the guarded figure: bound= is its
+    # ceiling and guard_tolerance flags a slide against its trailing median.
+    record(f"epoch_speedup{suffix}", speedup, bound=SPEEDUP_FLOOR)
+    record(f"epoch_speedup{suffix}_eager_ms", 1000.0 * statistics.median(eager_times), context=True)
+    record(f"epoch_speedup{suffix}_compiled_ms", 1000.0 * statistics.median(compiled_times), context=True)
     record(
-        f"{metric}_compiled_ms",
-        1000.0 * statistics.median(compiled_times),
-        context=True,
+        f"compiled_epoch_time_ref{suffix}",
+        compiled_epoch,
+        guard_tolerance=0.15,
+        bound=None if SMOKE else COMPILED_EPOCH_CEILING,
     )
     assert speedup >= SPEEDUP_FLOOR, (
         f"compiled arm ran {speedup:.2f}x eager (median of {TIMED_EPOCHS} paired "
         f"epochs, ratios {[round(r, 2) for r in ratios]}); "
         f"required >= {SPEEDUP_FLOOR}x"
     )
+    if not SMOKE:
+        assert compiled_epoch <= COMPILED_EPOCH_CEILING, (
+            f"compiled epoch took {compiled_epoch:.2f} reference-kernel units (median of "
+            f"{TIMED_EPOCHS}: {[round(u, 2) for u in compiled_units]}); ceiling {COMPILED_EPOCH_CEILING}"
+        )

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..data.sampling import BprBatch
 from ..llm.provider import SemanticEmbeddings
-from ..models.base import BaseRecommender
+from ..models.base import BaseRecommender, Tables
 from ..nn import Module, Tensor, no_grad
 
 __all__ = ["AlignmentModule", "AlignedRecommender"]
@@ -47,8 +47,12 @@ class AlignmentModule(Module):
     # ------------------------------------------------------------------ #
     # Hooks
     # ------------------------------------------------------------------ #
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
-        """Auxiliary loss for one mini-batch (default: nothing)."""
+    def alignment_loss(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
+        """Auxiliary loss for one mini-batch (default: nothing).
+
+        ``tables`` is the step's ``backbone.propagate()`` result, shared with
+        the backbone's BPR term; ``None`` propagates here.
+        """
         return Tensor(0.0)
 
     def prepare_step(self, batch: BprBatch) -> dict[str, np.ndarray]:
@@ -64,13 +68,13 @@ class AlignmentModule(Module):
         """
         return {}
 
-    def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
+    def pure_alignment_loss(self, batch: BprBatch, prepared: dict, tables: Tables | None = None) -> Tensor:
         """Trace-safe loss: every step-varying value arrives via arguments.
 
         ``batch`` fields and ``prepared`` values are tensors when tracing, and
-        the loss must be a deterministic function of them and the parameters
-        (host ops included).  Only modules with ``supports_compiled_step =
-        True`` need to implement this.
+        the loss must be a deterministic function of them, the step's
+        ``tables`` and the parameters (host ops included).  Only modules with
+        ``supports_compiled_step = True`` need to implement this.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement a compiled step"
@@ -91,6 +95,13 @@ class AlignmentModule(Module):
         users = np.unique(batch.users)
         items = np.unique(np.concatenate([batch.pos_items, batch.neg_items]))
         return np.concatenate([users, items + self.backbone.num_users])
+
+    def collaborative_table(self, tables: Tables | None) -> Tensor:
+        """``E_C``, the joint (user-first) table of this step's ``tables``.
+
+        ``None`` propagates here (:meth:`BaseRecommender.representations`).
+        """
+        return self.backbone.representations() if tables is None else tables.joint
 
     def semantic_matrix(self) -> np.ndarray:
         """Joint LLM-side embedding matrix (users stacked above items)."""
@@ -128,10 +139,14 @@ class AlignedRecommender(Module):
             self.alignment.on_epoch_start()
 
     def loss(self, batch: BprBatch) -> Tensor:
-        """Joint objective ``L_base + λ · L_align`` for one mini-batch."""
-        total = self.backbone.bpr_step(batch)
+        """Joint objective ``L_base + λ · L_align`` for one mini-batch.
+
+        The backbone propagates once; both terms read those tables.
+        """
+        tables = self.backbone.propagate()
+        total = self.backbone.bpr_step(batch, tables)
         if self.alignment is not None and self.trade_off:
-            total = total + self.trade_off * self.alignment.alignment_loss(batch)
+            total = total + self.trade_off * self.alignment.alignment_loss(batch, tables)
         return total
 
     # ------------------------------------------------------------------ #
@@ -167,14 +182,16 @@ class AlignedRecommender(Module):
         The returned function reconstructs a :class:`BprBatch` whose fields
         are input *tensors* (so every gather inside ``bpr_step`` becomes a
         dynamic-index op) and routes the alignment term through the trace-safe
-        :meth:`AlignmentModule.pure_alignment_loss`.
+        :meth:`AlignmentModule.pure_alignment_loss`.  As in :meth:`loss`, the
+        backbone propagates once per step.
         """
 
         def step_fn(params, inputs):
             batch = BprBatch(inputs["users"], inputs["pos_items"], inputs["neg_items"])
-            total = self.backbone.bpr_step(batch)
+            tables = self.backbone.propagate()
+            total = self.backbone.bpr_step(batch, tables)
             if self.alignment is not None and self.trade_off:
-                total = total + self.trade_off * self.alignment.pure_alignment_loss(batch, inputs)
+                total = total + self.trade_off * self.alignment.pure_alignment_loss(batch, inputs, tables)
             return total
 
         return step_fn

@@ -21,7 +21,7 @@ import numpy as np
 from ...cluster import kmeans
 from ...data.sampling import BprBatch, sample_instances
 from ...llm.provider import SemanticEmbeddings
-from ...models.base import BaseRecommender
+from ...models.base import BaseRecommender, Tables
 from ...nn import Tensor, no_grad
 from ..base import AlignmentModule
 from .disentangle import DisentangledProjectors, DisentangledRepresentations
@@ -140,15 +140,19 @@ class DaRec(AlignmentModule):
         total = self.backbone.num_users + self.backbone.num_items
         return sample_instances(total, self.config.sample_size, self._rng)
 
-    def disentangle(self, nodes: np.ndarray | Tensor | None = None) -> DisentangledRepresentations:
+    def disentangle(
+        self, nodes: np.ndarray | Tensor | None = None, tables: Tables | None = None
+    ) -> DisentangledRepresentations:
         """Disentangled representations of the selected joint nodes (on the tape).
 
         ``nodes`` is an index array, or an index tensor when it arrives as a
-        compiled step input; ``None`` draws a fresh sub-sample.
+        compiled step input; ``None`` draws a fresh sub-sample.  The N̂ rows
+        come straight from the joint table of the step's ``tables``
+        (propagated here when ``None``).
         """
         if nodes is None:
             nodes = self._sample_nodes()
-        collaborative = self.backbone.representations().take_rows(nodes)
+        collaborative = self.collaborative_table(tables).take_rows(nodes)
         semantic = self._semantic_tensor().take_rows(nodes)
         return self.projectors(collaborative, semantic)
 
@@ -182,17 +186,20 @@ class DaRec(AlignmentModule):
             )
         return prepared
 
-    def loss_components(self, batch: BprBatch | None = None, prepared: dict | None = None) -> dict[str, Tensor]:
+    def loss_components(
+        self, batch: BprBatch | None = None, prepared: dict | None = None, tables: Tables | None = None
+    ) -> dict[str, Tensor]:
         """The active DaRec loss terms, unweighted (keys match the paper).
 
         ``prepared`` holds the step's draws (:meth:`prepare_step`, made here
-        when omitted); :meth:`pure_alignment_loss` is the weighted sum of
-        these terms.
+        when omitted) and ``tables`` the step's propagation (see
+        :meth:`disentangle`); :meth:`pure_alignment_loss` is the weighted sum
+        of these terms.
         """
         config = self.config
         if prepared is None:
             prepared = self.prepare_step(batch)
-        reps = self.disentangle(prepared["darec_nodes"])
+        reps = self.disentangle(prepared["darec_nodes"], tables)
         components: dict[str, Tensor] = {}
         if config.weight("orthogonal"):
             components["orthogonal"] = orthogonality_loss(
@@ -217,16 +224,16 @@ class DaRec(AlignmentModule):
             )
         return components
 
-    def pure_alignment_loss(self, batch: BprBatch, prepared: dict) -> Tensor:
+    def pure_alignment_loss(self, batch: BprBatch, prepared: dict, tables: Tables | None = None) -> Tensor:
         """``L_or + L_uni + L_glo + L_loc``, each term weighted; trace-safe."""
         total: Tensor | None = None
-        for term, value in self.loss_components(batch, prepared).items():
+        for term, value in self.loss_components(batch, prepared, tables).items():
             weighted = value * self.config.weight(term)
             total = weighted if total is None else total + weighted
         return total if total is not None else Tensor(0.0)
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
-        return self.pure_alignment_loss(batch, self.prepare_step(batch))
+    def alignment_loss(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
+        return self.pure_alignment_loss(batch, self.prepare_step(batch), tables)
 
     def _cluster_structure(
         self, collab: np.ndarray, llm: np.ndarray, seeds: np.ndarray

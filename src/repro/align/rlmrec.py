@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data.sampling import BprBatch
 from ..llm.provider import SemanticEmbeddings
-from ..models.base import BaseRecommender
+from ..models.base import BaseRecommender, Tables
 from ..nn import MLP, Tensor, functional as F
 from .base import AlignmentModule
 
@@ -45,9 +45,9 @@ class RLMRecContrastive(AlignmentModule):
             rng=rng,
         )
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
+    def alignment_loss(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
         nodes = self.batch_node_indices(batch)
-        collaborative = self.backbone.representations().take_rows(nodes)
+        collaborative = self.collaborative_table(tables).take_rows(nodes)
         semantic = Tensor(self.semantic_matrix()[nodes])
         projected = self.projector(semantic)
         return F.info_nce(collaborative, projected, self.temperature)
@@ -84,13 +84,13 @@ class RLMRecGenerative(AlignmentModule):
             rng=np.random.default_rng(seed),
         )
 
-    def alignment_loss(self, batch: BprBatch) -> Tensor:
+    def alignment_loss(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
         nodes = self.batch_node_indices(batch)
         mask = self._rng.random(len(nodes)) < self.mask_rate
         if not mask.any():
             mask[self._rng.integers(0, len(nodes))] = True
         masked_nodes = nodes[mask]
-        collaborative = self.backbone.representations().take_rows(masked_nodes)
+        collaborative = self.collaborative_table(tables).take_rows(masked_nodes)
         semantic = Tensor(self.semantic_matrix()[masked_nodes])
         reconstructed = self.generator(semantic)
         return F.mse_loss(reconstructed, F.l2_normalize(collaborative))

@@ -6,24 +6,26 @@ quantify the cluster structure shown in Fig. 6, and by the serving IVF index
 to train its cells.  scikit-learn is not available offline, hence this
 self-contained implementation.
 
-Each Lloyd step is vectorised: the per-cluster sums are one row scatter
-(:func:`repro.nn.primitives.scatter_add_rows`, a flattened ``np.bincount`` that
-adds each cluster's members in row order) divided by ``np.bincount(labels)``.
-For ``d >= 2`` columns that is the same sequence of additions and the same
-division as ``np.mean`` over each cluster's members; for one column
-``np.mean`` sums pairwise, so 1-D centres can differ from it in the last
-bits.  Every empty cluster is re-seeded at the point farthest from its
-current centre.  Row norms and ``2 * data`` are computed once per call, not
-once per iteration.
+Each Lloyd step is vectorised: the per-cluster sums are one flattened
+``np.bincount`` (the row scatter of
+:func:`repro.nn.primitives.scatter_add_rows`: element ``j`` of a row in
+cluster ``c`` lands in bin ``c * d + j``, each cluster's members added in row
+order) divided by ``np.bincount(labels)``.  For ``d >= 2`` columns that is the
+same sequence of additions and the same division as ``np.mean`` over each
+cluster's members; for one column ``np.mean`` sums pairwise, so 1-D centres
+can differ from it in the last bits.  Every empty cluster is re-seeded at the
+point farthest from its current centre.  Row norms, ``2 * data``, the
+flattened data and the column offsets are computed once per call, not once
+per iteration, and the stopping test takes one square root, of the largest
+squared centre shift.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from ..nn.primitives import scatter_add_rows
 
 __all__ = ["KMeansResult", "kmeans", "assign_to_centers"]
 
@@ -44,7 +46,7 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
     centers = np.empty((k, data.shape[1]))
     first = rng.integers(0, n)
     centers[0] = data[first]
-    closest_sq = np.sum((data - centers[0]) ** 2, axis=1)
+    closest_sq = ((data - centers[0]) ** 2).sum(axis=1)
     for index in range(1, k):
         total = closest_sq.sum()
         if total <= 1e-18:
@@ -54,7 +56,7 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
         probabilities = closest_sq / total
         choice = rng.choice(n, p=probabilities)
         centers[index] = data[choice]
-        distances = np.sum((data - centers[index]) ** 2, axis=1)
+        distances = ((data - centers[index]) ** 2).sum(axis=1)
         closest_sq = np.minimum(closest_sq, distances)
     return centers
 
@@ -66,8 +68,8 @@ def assign_to_centers(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 def _nearest(row_sq: np.ndarray, twice: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """:func:`assign_to_centers` given the row norms and ``2 * data``."""
-    distances = row_sq - twice @ centers.T + np.sum(centers**2, axis=1)
-    return np.argmin(distances, axis=1)
+    distances = row_sq - twice @ centers.T + (centers * centers).sum(axis=1)
+    return distances.argmin(axis=1)
 
 
 def kmeans(
@@ -102,17 +104,22 @@ def kmeans(
     centers = _kmeans_plus_plus(data, k, rng)
     row_sq = np.sum(data**2, axis=1, keepdims=True)
     twice = 2.0 * data
+    d = data.shape[1]
+    flat, columns = data.ravel(), np.arange(d)
     labels = _nearest(row_sq, twice, centers)
     iteration = 0
     for iteration in range(1, max_iterations + 1):
         counts = np.bincount(labels, minlength=k)
-        empty = counts == 0
-        new_centers = scatter_add_rows(labels, data, k) / np.maximum(counts, 1)[:, None]
-        if empty.any():
+        sums = np.bincount((labels[:, None] * d + columns).ravel(), weights=flat, minlength=k * d)
+        new_centers = sums.reshape(k, d) / np.maximum(counts, 1)[:, None]
+        if not counts.all():
             # Re-seed empty clusters at the point farthest from its centre.
             distances = np.sum((data - centers[labels]) ** 2, axis=1)
-            new_centers[empty] = data[np.argmax(distances)]
-        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+            new_centers[counts == 0] = data[np.argmax(distances)]
+        # The largest row norm of the move: sqrt is monotone, so one sqrt of
+        # the largest squared norm is the same float.
+        moved = new_centers - centers
+        shift = math.sqrt((moved * moved).sum(axis=1).max())
         centers = new_centers
         labels = _nearest(row_sq, twice, centers)
         if shift < tolerance:

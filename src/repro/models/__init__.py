@@ -1,6 +1,6 @@
 """Collaborative filtering backbones evaluated in the paper's Tables III/IV."""
 
-from .base import BaseRecommender, GraphRecommender
+from .base import BaseRecommender, GraphRecommender, Tables
 from .mf import BPRMF
 from .gccf import GCCF
 from .lightgcn import LightGCN
@@ -31,6 +31,7 @@ def create_backbone(name: str, dataset, **kwargs) -> BaseRecommender:
 __all__ = [
     "BaseRecommender",
     "GraphRecommender",
+    "Tables",
     "BPRMF",
     "GCCF",
     "LightGCN",

@@ -16,7 +16,7 @@ from ..data.sampling import BprBatch
 from ..graph.adjacency import build_normalized_adjacency
 from ..graph.augment import masked_interaction_matrix
 from ..nn import Tensor, functional as F, sparse_dense_matmul
-from .base import GraphRecommender
+from .base import GraphRecommender, Tables
 
 __all__ = ["AutoCF"]
 
@@ -64,7 +64,7 @@ class AutoCF(GraphRecommender):
             stacked = stacked + layer
         return stacked * (1.0 / len(layers))
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate(self) -> Tables:
         return self._split(self._propagate_with(self.adjacency))
 
     def _reconstruction_loss(self) -> Tensor:
@@ -103,8 +103,8 @@ class AutoCF(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
+        loss = super().bpr_step(batch, tables)
         if self.reconstruction_weight:
             loss = loss + self.reconstruction_weight * self._reconstruction_loss()
         if self.ssl_weight:

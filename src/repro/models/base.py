@@ -5,10 +5,11 @@ alignment frameworks (:mod:`repro.align`) can wrap any of them:
 
 ``propagate()``
     returns the full user and item embedding tables *on the autograd tape*
-    after whatever message passing the backbone performs;
-``bpr_step(batch)``
+    after whatever message passing the backbone performs, as :class:`Tables`;
+``bpr_step(batch, tables)``
     returns the backbone's own training loss ``L_base`` (BPR + regularisation
-    + any self-supervised terms) for one mini-batch;
+    + any self-supervised terms) for one mini-batch, read from one step's
+    ``propagate()`` result (the alignment term reads the same one);
 ``score_all()``
     returns the dense user × item score matrix used by the all-ranking
     evaluation protocol (gradient-free).
@@ -23,7 +24,32 @@ from ..data.sampling import BprBatch
 from ..graph.adjacency import build_normalized_adjacency
 from ..nn import Embedding, Module, Tensor, functional as F, no_grad
 
-__all__ = ["BaseRecommender", "GraphRecommender"]
+__all__ = ["BaseRecommender", "GraphRecommender", "Tables"]
+
+
+class Tables:
+    """One propagation's user and item tables; unpacks as ``users, items``.
+
+    ``joint`` is the user-first stack of both, the ``E_C`` that alignment
+    modules gather rows from.  Graph backbones propagate that stack and split
+    it, so they pass it along; otherwise the first read concatenates the two.
+    """
+
+    __slots__ = ("users", "items", "_joint")
+
+    def __init__(self, users: Tensor, items: Tensor, joint: Tensor | None = None) -> None:
+        self.users = users
+        self.items = items
+        self._joint = joint
+
+    def __iter__(self):
+        return iter((self.users, self.items))
+
+    @property
+    def joint(self) -> Tensor:
+        if self._joint is None:
+            self._joint = Tensor.concat([self.users, self.items], axis=0)
+        return self._joint
 
 
 class BaseRecommender(Module):
@@ -65,21 +91,24 @@ class BaseRecommender(Module):
         """Width of the representations returned by :meth:`propagate`."""
         return self.embedding_dim
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate(self) -> Tables:
         """Return (user table, item table) after message passing (on the tape)."""
-        return self.user_embedding.all(), self.item_embedding.all()
+        return Tables(self.user_embedding.all(), self.item_embedding.all())
 
     def representations(self) -> Tensor:
-        """Concatenated user+item representations ``E_C`` used for alignment."""
-        users, items = self.propagate()
-        return Tensor.concat([users, items], axis=0)
+        """Joint (user-first) representations ``E_C``, propagated afresh (analysis callers)."""
+        return self.propagate().joint
 
     def on_epoch_start(self) -> None:
         """Hook for backbones that refresh augmentation views every epoch."""
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        """Default ``L_base``: BPR ranking loss + L2 regularisation."""
-        users, items = self.propagate()
+    def bpr_step(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
+        """Default ``L_base``: BPR ranking loss + L2 regularisation.
+
+        ``tables`` is this step's :meth:`propagate` result, shared with the
+        alignment term; ``None`` propagates here.
+        """
+        users, items = self.propagate() if tables is None else tables
         user_vec = users.take_rows(batch.users)
         pos_vec = items.take_rows(batch.pos_items)
         neg_vec = items.take_rows(batch.neg_items)
@@ -124,7 +153,7 @@ class GraphRecommender(BaseRecommender):
     def _joint_embeddings(self) -> Tensor:
         return Tensor.concat([self.user_embedding.all(), self.item_embedding.all()], axis=0)
 
-    def _split(self, joint: Tensor) -> tuple[Tensor, Tensor]:
+    def _split(self, joint: Tensor) -> Tables:
         users = joint[np.arange(self.num_users)]
         items = joint[np.arange(self.num_users, self.num_users + self.num_items)]
-        return users, items
+        return Tables(users, items, joint)

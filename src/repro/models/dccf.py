@@ -14,7 +14,7 @@ import numpy as np
 from ..data.interactions import InteractionDataset
 from ..data.sampling import BprBatch
 from ..nn import Parameter, Tensor, functional as F, init, sparse_dense_matmul
-from .base import GraphRecommender
+from .base import GraphRecommender, Tables
 
 __all__ = ["DCCF"]
 
@@ -69,7 +69,7 @@ class DCCF(GraphRecommender):
         item_view = item_attention @ self.item_intents
         return Tensor.concat([user_view, item_view], axis=0)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate(self) -> Tables:
         joint = self._propagated()
         # The ranking representation blends the graph view with the intent view,
         # which is where the disentangled semantics enter the final embedding.
@@ -91,8 +91,8 @@ class DCCF(GraphRecommender):
         )
         return user_loss + item_loss
 
-    def bpr_step(self, batch: BprBatch) -> Tensor:
-        loss = super().bpr_step(batch)
+    def bpr_step(self, batch: BprBatch, tables: Tables | None = None) -> Tensor:
+        loss = super().bpr_step(batch, tables)
         if self.ssl_weight:
             loss = loss + self.ssl_weight * self._ssl_loss(batch)
         return loss

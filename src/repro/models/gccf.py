@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..data.interactions import InteractionDataset
 from ..nn import Tensor, sparse_dense_matmul
-from .base import GraphRecommender
+from .base import GraphRecommender, Tables
 
 __all__ = ["GCCF"]
 
@@ -32,7 +32,7 @@ class GCCF(GraphRecommender):
         """GCCF concatenates layers, so its output width grows with depth."""
         return self.embedding_dim * (self.num_layers + 1)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate(self) -> Tables:
         joint = self._joint_embeddings()
         layers = [joint]
         current = joint

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..data.interactions import InteractionDataset
 from ..nn import Tensor, sparse_dense_matmul
-from .base import GraphRecommender
+from .base import GraphRecommender, Tables
 
 __all__ = ["LightGCN"]
 
@@ -28,7 +28,7 @@ class LightGCN(GraphRecommender):
     ) -> None:
         super().__init__(dataset, embedding_dim, num_layers, l2_weight, seed)
 
-    def propagate(self) -> tuple[Tensor, Tensor]:
+    def propagate(self) -> Tables:
         joint = self._joint_embeddings()
         layers = [joint]
         current = joint

@@ -62,9 +62,12 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Project rows of ``x`` onto the unit sphere."""
-    norm = ((x * x).sum(axis=axis, keepdims=True) + eps) ** 0.5
-    return x / norm
+    """Project rows of ``x`` onto the unit sphere: ``x / sqrt(sum(x * x) + eps)``.
+
+    One primitive with a closed-form VJP; its forward runs the NumPy calls of
+    the spelled-out chain, so values match ``x / ((x * x).sum(...) + eps) ** 0.5``.
+    """
+    return Tensor._apply("l2_normalize", as_tensor(x), ctx=(axis, np.float64(eps)))
 
 
 def cosine_similarity(a: Tensor, b: Tensor, axis: int = -1) -> Tensor:

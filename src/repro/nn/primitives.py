@@ -423,6 +423,50 @@ _def(
 
 
 # --------------------------------------------------------------------------- #
+# Composite kernels
+# --------------------------------------------------------------------------- #
+def _reduced(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
+    """``shape`` with ``axis`` kept as size 1 (a ``keepdims`` reduction's shape)."""
+    kept = list(shape)
+    kept[axis] = 1
+    return tuple(kept)
+
+
+def _l2_norm(ctx, ws, x):
+    """``(sum(x * x, axis, keepdims) + eps) ** 0.5``, with the unfused chain's NumPy calls.
+
+    ``eps`` is a float64 scalar, so float32 rows get a float64 norm, as they
+    do when ``+ eps`` adds a constant tensor.  ``np.sqrt`` is the ufunc that
+    ``** 0.5`` dispatches to.
+    """
+    axis, eps = ctx
+    reduced = _reduced(x.shape, axis)
+    squares = np.multiply(x, x, out=_scratch(ws, "sq", x.shape, x.dtype))
+    total = np.sum(squares, axis=axis, keepdims=True, out=_scratch(ws, "sum", reduced, x.dtype))
+    norm = np.add(total, eps, out=_scratch(ws, "norm", reduced, np.result_type(x, eps)))
+    return np.sqrt(norm, out=norm)
+
+
+def _l2_normalize_vjp(i, g, ans, ctx, ws, x):
+    out = _like(ws, g)  # (g - y * sum(g * y)) / norm, with y = ans
+    dot = np.sum(
+        np.multiply(g, ans, out=out), axis=ctx[0], keepdims=True,
+        out=_scratch(ws, "dot", _reduced(g.shape, ctx[0]), g.dtype),
+    )
+    grad = np.subtract(g, np.multiply(ans, dot, out=out), out=out)
+    return np.true_divide(grad, _l2_norm(ctx, ws, x), out=out)
+
+
+_def(
+    "l2_normalize",  # ctx = (axis, eps as a float64 scalar)
+    lambda ctx, out, ws, x: np.true_divide(x, _l2_norm(ctx, ws, x), out=out),
+    _l2_normalize_vjp,
+    reads_output=True,
+    reads=((0,),),
+)
+
+
+# --------------------------------------------------------------------------- #
 # Shape manipulation
 # --------------------------------------------------------------------------- #
 def _getitem_vjp(i, g, ans, ctx, ws, a):

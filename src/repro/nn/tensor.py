@@ -136,7 +136,7 @@ class Tensor:
         name: str | None = None,
     ) -> None:
         array = np.asarray(data)
-        if not np.issubdtype(array.dtype, np.floating):
+        if array.dtype.kind != "f":  # np.issubdtype(dtype, np.floating), without its cost
             array = array.astype(np.float64)
         self.data: np.ndarray = array
         self.grad: np.ndarray | None = None

@@ -17,6 +17,7 @@ from repro.nn import (
     sparse_dense_matmul,
     trace_program,
 )
+from repro.nn import functional as F
 
 import scipy.sparse as sp
 
@@ -211,6 +212,17 @@ class TestPerOpBitIdentity:
             return (((p[0] * p[0]).sum(axis=1, keepdims=True) + 1e-12) ** 0.5 * i["x"]).sum()
 
         inputs_seq = [{"x": RNG.normal(size=(6, 1)).astype(dtype)} for _ in range(3)]
+        run_both_arms(step, make_params_factory(X, dtype=dtype), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("axis", [-1, 0])
+    def test_l2_normalize(self, axis, dtype):
+        """The fused primitive, its VJP fed a random upstream gradient."""
+
+        def step(p, i):
+            return (F.l2_normalize(p[0], axis=axis) * i["x"]).sum()
+
+        inputs_seq = [{"x": RNG.normal(size=X.shape).astype(dtype)} for _ in range(3)]
         run_both_arms(step, make_params_factory(X, dtype=dtype), inputs_seq)
 
 

@@ -234,3 +234,28 @@ class TestUnbroadcastEdgeCases:
     def test_scalar_grad_into_length_one_vector(self):
         grad = np.ones((7, 1))
         np.testing.assert_array_equal(_unbroadcast(grad, (1,)), np.array([7.0]))
+
+
+class TestStoredDtype:
+    """``Tensor`` keeps floating arrays as they are and casts the rest to float64.
+
+    The constructor tests ``dtype.kind == "f"``; the decision must match
+    ``np.issubdtype(dtype, np.floating)`` for every dtype a caller can pass.
+    """
+
+    DTYPES = [
+        np.bool_,
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+        np.float16, np.float32, np.float64, np.longdouble,
+        np.complex64, np.complex128,
+    ]
+
+    @pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+    @pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")  # complex -> float64 drops imag
+    def test_keep_or_cast_matches_issubdtype(self, dtype):
+        array = np.zeros(3, dtype=dtype)
+        kept = np.issubdtype(array.dtype, np.floating)
+        stored = Tensor(array).data
+        assert stored.dtype == (array.dtype if kept else np.float64)
+        assert (stored is array) == kept
