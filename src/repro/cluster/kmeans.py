@@ -53,9 +53,10 @@ def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.
             # All points coincide with existing centres; fall back to random picks.
             centers[index] = data[rng.integers(0, n)]
             continue
-        probabilities = closest_sq / total
-        choice = rng.choice(n, p=probabilities)
-        centers[index] = data[choice]
+        # What ``rng.choice(n, p=closest_sq / total)`` runs, minus its checks of ``p``.
+        cdf = (closest_sq / total).cumsum()
+        cdf /= cdf[-1]
+        centers[index] = data[cdf.searchsorted(rng.random(), side="right")]
         distances = ((data - centers[index]) ** 2).sum(axis=1)
         closest_sq = np.minimum(closest_sq, distances)
     return centers

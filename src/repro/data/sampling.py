@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
-import scipy.sparse as sp
 
 from .interactions import InteractionDataset
 
@@ -48,33 +47,31 @@ class BprSampler:
         self.max_rejections = max_rejections
         self._rng = np.random.default_rng(seed)
         self._train_pairs = dataset.train
-        self._positives = dataset.train_positives
         if len(self._train_pairs) == 0:
             raise ValueError("cannot sample from an empty training split")
-        # CSR membership matrix for vectorised collision checks: one sparse
-        # gather replaces a Python set-lookup loop per candidate.  The RNG
-        # draw sequence is untouched (draws depend only on collision counts,
-        # which are identical), so sampled batches match the old loop exactly.
-        self._positive_matrix = sp.csr_matrix(
-            (
-                np.ones(len(self._train_pairs), dtype=bool),
-                (self._train_pairs[:, 0], self._train_pairs[:, 1]),
-            ),
-            shape=(dataset.num_users, dataset.num_items),
-        )
+        # Sorted ``user * num_items + item`` keys: a candidate collides when its key is here.
+        self._positive_keys = np.unique(self._train_pairs[:, 0] * dataset.num_items + self._train_pairs[:, 1])
 
     def __len__(self) -> int:
         return int(np.ceil(len(self._train_pairs) / self.batch_size))
 
     def sample_negatives(self, users: np.ndarray) -> np.ndarray:
-        """Draw one negative item per user, avoiding observed positives."""
+        """Draw one negative item per user, avoiding observed positives.
+
+        Only redrawn positions are re-checked (the others keep a non-positive
+        item), so the draws are those of re-checking every position.
+        """
         num_items = self.dataset.num_items
+        keys = self._positive_keys
         negatives = self._rng.integers(0, num_items, size=len(users))
-        for attempt in range(self.max_rejections):
-            collisions = np.asarray(self._positive_matrix[users, negatives]).ravel()
-            if not collisions.any():
+        pending = np.arange(len(users))
+        for _ in range(self.max_rejections):
+            candidates = users[pending].astype(np.int64) * num_items + negatives[pending]
+            found = keys.searchsorted(candidates)
+            pending = pending[keys[np.minimum(found, len(keys) - 1)] == candidates]
+            if not pending.size:
                 break
-            negatives[collisions] = self._rng.integers(0, num_items, size=int(collisions.sum()))
+            negatives[pending] = self._rng.integers(0, num_items, size=pending.size)
         return negatives
 
     def epoch(self) -> Iterator[BprBatch]:

@@ -116,11 +116,16 @@ class BaseRecommender(Module):
         neg_scores = (user_vec * neg_vec).sum(axis=1)
         loss = F.bpr_loss(pos_scores, neg_scores)
         if self.l2_weight:
-            ego_user = self.user_embedding(batch.users)
-            ego_pos = self.item_embedding(batch.pos_items)
-            ego_neg = self.item_embedding(batch.neg_items)
-            loss = loss + self.l2_weight * F.l2_regularization(ego_user, ego_pos, ego_neg)
+            # L2 on the batch's layer-0 rows: whole tables, rows weighted by use (replays recount).
+            user_counts, item_counts = Tensor.host(self._row_counts, batch.users, batch.pos_items, batch.neg_items)
+            ego = [(self.user_embedding.all(), user_counts), (self.item_embedding.all(), item_counts)]
+            loss = loss + self.l2_weight * F.l2_regularization(ego, len(batch))
         return loss
+
+    def _row_counts(self, users, pos_items, neg_items) -> tuple[np.ndarray, np.ndarray]:
+        """How often a batch uses each user and each item row, as ``(rows, 1)`` columns."""
+        items = np.bincount(pos_items, minlength=self.num_items) + np.bincount(neg_items, minlength=self.num_items)
+        return np.bincount(users, minlength=self.num_users)[:, None], items[:, None]
 
     def score_all(self) -> np.ndarray:
         """Dense score matrix for the all-ranking protocol (no gradients)."""
@@ -154,6 +159,6 @@ class GraphRecommender(BaseRecommender):
         return Tensor.concat([self.user_embedding.all(), self.item_embedding.all()], axis=0)
 
     def _split(self, joint: Tensor) -> Tables:
-        users = joint[np.arange(self.num_users)]
-        items = joint[np.arange(self.num_users, self.num_users + self.num_items)]
+        users = joint[: self.num_users]
+        items = joint[self.num_users : self.num_users + self.num_items]
         return Tables(users, items, joint)

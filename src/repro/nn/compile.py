@@ -59,29 +59,9 @@ import numpy as np
 
 from ..obs.profile import OpProfiler, timed_section
 from .primitives import PRIMITIVES, cast_unbroadcast
-from .tensor import Tensor, TraceError, _set_tracing
+from .tensor import Tensor, TraceError, _leaf, _set_tracing
 
 __all__ = ["compile", "CompiledStep", "CompileStats", "Program", "trace_program", "TraceError"]
-
-
-# --------------------------------------------------------------------------- #
-# Leaf wrapping
-# --------------------------------------------------------------------------- #
-def _input_tensor(array: np.ndarray) -> Tensor:
-    """Wrap an input array in a Tensor *without* the float64 coercion.
-
-    Index arrays must stay integer so dynamic gathers are exact; the wrapper
-    bypasses ``Tensor.__init__`` for that reason.
-    """
-    t = Tensor.__new__(Tensor)
-    t.data = np.asarray(array)
-    t.grad = None
-    t.requires_grad = False
-    t._parents = ()
-    t.name = None
-    t._op = None
-    t._ctx = ()
-    return t
 
 
 class _GradSlot:
@@ -449,7 +429,7 @@ def trace_program(
     Returns ``(program, loss_value)``; the traced run itself does not publish
     gradients (the caller is expected to replay the program immediately).
     """
-    wrapped = {name: _input_tensor(array) for name, array in inputs.items()}
+    wrapped = {name: _leaf(array) for name, array in inputs.items()}
     previous = _set_tracing(True)
     try:
         loss = step_fn(list(params), wrapped)
@@ -546,7 +526,7 @@ class CompiledStep:
         return self._eager_inner(params, inputs)
 
     def _eager_inner(self, params: Sequence[Tensor], inputs: Mapping[str, np.ndarray]) -> float:
-        wrapped = {name: _input_tensor(array) for name, array in inputs.items()}
+        wrapped = {name: _leaf(array) for name, array in inputs.items()}
         for param in params:
             param.grad = None
         if not self._untraced_eager:

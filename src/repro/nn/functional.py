@@ -90,15 +90,19 @@ def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def l2_regularization(*tensors: Tensor) -> Tensor:
-    """Half sum-of-squares regulariser averaged over the batch dimension."""
+def l2_regularization(pairs: list[tuple[Tensor, Tensor]], batch_size: int) -> Tensor:
+    """Half sum-of-squares of the table rows a batch uses, averaged over the batch.
+
+    Each pair is a ``(rows, d)`` table and a ``(rows, 1)`` column counting how
+    often the batch uses each row: ``0.5 / B · Σ_r c_r ‖E_r‖²`` is the half
+    sum of squares of the gathered ``B``-row blocks, without gathering them.
+    """
     total: Tensor | None = None
-    batch = max(t.shape[0] for t in tensors) if tensors else 1
-    for tensor in tensors:
-        term = (tensor * tensor).sum()
+    for table, counts in pairs:
+        term = (table * table * counts).sum()
         total = term if total is None else total + term
     assert total is not None
-    return total * (0.5 / batch)
+    return total * (0.5 / batch_size)
 
 
 def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:

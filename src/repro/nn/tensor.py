@@ -101,6 +101,17 @@ def as_tensor(value, requires_grad: bool = False) -> "Tensor":
     return Tensor(value, requires_grad=requires_grad)
 
 
+def _leaf(array) -> "Tensor":
+    """A constant leaf holding ``np.asarray(array)`` *without* the float64 coercion.
+
+    Index arrays stay integer, so gathers and host functions see the same
+    dtype eagerly as in a compiled replay.
+    """
+    leaf = Tensor(0.0)
+    leaf.data = np.asarray(array)
+    return leaf
+
+
 def _row_indices(indices, num_rows: int) -> np.ndarray:
     """Integer row ids of a static gather index (boolean masks → their nonzeros)."""
     idx = np.asarray(indices)
@@ -417,13 +428,15 @@ class Tensor:
 
         ``fn(*arrays)`` receives each parent's ``.data`` and returns a sequence
         of float arrays; each comes back as a constant tensor, and no gradient
-        flows through the op.  Under :mod:`repro.nn.compile` a replay calls
-        ``fn`` again on the parents' current forward values, so ``fn`` must be
-        pure: anything random reaches it through a parent (a seed array among
-        the step inputs, say).  The outputs are views of one packed buffer; a
-        replay whose outputs change shape raises :class:`TraceError`.
+        flows through the op.  A parent that is not a tensor keeps its dtype
+        (integer ids stay integer), as a compiled step's inputs do.  Under
+        :mod:`repro.nn.compile` a replay calls ``fn`` again on the parents'
+        current forward values, so ``fn`` must be pure: anything random
+        reaches it through a parent (a seed array among the step inputs,
+        say).  The outputs are views of one packed buffer; a replay whose
+        outputs change shape raises :class:`TraceError`.
         """
-        parents = tuple(as_tensor(p) for p in parents)
+        parents = tuple(p if isinstance(p, Tensor) else _leaf(p) for p in parents)
         outputs = fn(*(p.data for p in parents))
         shapes = tuple(np.shape(out) for out in outputs)
         packed = Tensor._make(pack_host_outputs(outputs, shapes), parents, "host", (fn, shapes))

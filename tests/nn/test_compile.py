@@ -341,6 +341,30 @@ class TestHostOp:
         nn_compile(step)(params, {})
         np.testing.assert_array_equal(params[0].grad, np.full(W.shape, np.abs(W).max()))
 
+    def test_integer_parents_keep_their_dtype_in_both_modes(self):
+        seen = []
+
+        def counts(ids):
+            seen.append(ids.dtype)
+            return (np.bincount(ids, minlength=4),)
+
+        ids = np.array([0, 2, 2, 3])
+        # Eagerly, with the ids as a plain array: bincount needs them integer.
+        (eager,) = Tensor.host(counts, ids)
+        np.testing.assert_array_equal(eager.data, [1.0, 0.0, 2.0, 1.0])
+
+        def step(p, i):
+            (c,) = Tensor.host(counts, i["ids"])
+            return (p[0] * c).sum()
+
+        params = [Parameter(np.ones(4))]
+        replay_step = nn_compile(step)
+        replay_step(params, {"ids": ids})
+        replay_step(params, {"ids": np.array([1, 1, 1, 0])})
+        np.testing.assert_array_equal(params[0].grad, [1.0, 3.0, 0.0, 0.0])
+        # The eager call, the trace and both replays all saw integer ids.
+        assert seen == [np.dtype(np.int64)] * 4
+
     def test_shape_change_on_replay_raises(self):
         def step(p, i):
             (positive,) = Tensor.host(lambda v: (v[v > 0],), p[0])

@@ -176,13 +176,15 @@ class TestLosses:
 
     def test_l2_regularization_scale(self):
         x = Tensor(np.ones((4, 3)))
-        # 0.5 * sum(x^2) / batch = 0.5 * 12 / 4
-        assert F.l2_regularization(x).item() == pytest.approx(1.5)
+        # Each row used once: 0.5 * sum(x^2) / batch = 0.5 * 12 / 4
+        assert F.l2_regularization([(x, Tensor(np.ones((4, 1))))], 4).item() == pytest.approx(1.5)
 
     def test_l2_regularization_multiple_tensors(self):
         x = Tensor(np.ones((2, 2)))
         y = Tensor(np.ones((2, 2)) * 2)
-        assert F.l2_regularization(x, y).item() == pytest.approx(0.5 * (4 + 16) / 2)
+        # x's rows used once each, y's first row twice and its second never.
+        pairs = [(x, Tensor(np.array([[1.0], [1.0]]))), (y, Tensor(np.array([[2.0], [0.0]])))]
+        assert F.l2_regularization(pairs, 2).item() == pytest.approx(0.5 * (4 + 2 * 8) / 2)
 
     def test_info_nce_aligned_pairs_beat_shuffled(self):
         rng = np.random.default_rng(9)
