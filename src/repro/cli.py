@@ -649,6 +649,8 @@ def _command_retrain_loop(args: argparse.Namespace) -> int:
                 f"canary stage never reached a verdict "
                 f"(decision={result.canary_decision!r})"
             )
+            # A verdict on no cohort traffic is a timeout, not a canary.
+            assert result.canary_samples > 0, "canary verdict rested on no samples"
             if result.outcome == "aborted":
                 # The serving snapshot may be a *delta* descendant of the
                 # incumbent (streaming fold-in swaps), but an aborted canary

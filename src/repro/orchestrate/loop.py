@@ -24,9 +24,9 @@ candidate promoted, recall did not collapse) so CI exercises the whole path.
 Extensions over the original scenario:
 
 * ``canary_fraction`` > 0 inserts the canary stage: each orchestrator tick
-  routes the most recent chunk's users through the run's
+  routes every known user (retained or streamed so far) through the run's
   :class:`~repro.serve.canary.TrafficSplitter`, and once the event stream is
-  exhausted the loop keeps ticking (re-serving the last chunk) until the
+  exhausted the loop keeps ticking (re-serving those users) until the
   analyzer reaches a verdict — so a canary in flight is driven to promote or
   abort rather than stranded;
 * ``schedule`` adds cron-style scheduled retrains next to the drift monitor;
@@ -120,6 +120,8 @@ class RetrainLoopResult:
     cycles: int = 0
     #: Final canary-stage decision of the last run (``None`` if stage off).
     canary_decision: str | None = None
+    #: Cohort requests the canary verdict rested on (0 without a verdict).
+    canary_samples: int = 0
     #: True when SIGINT drained the loop early (journal is consistent).
     interrupted: bool = False
     reports: tuple[TickReport, ...] = field(repr=False, default=())
@@ -137,6 +139,7 @@ class RetrainLoopResult:
         }
         if self.canary_decision is not None:
             row["canary"] = self.canary_decision
+            row["canary samples"] = self.canary_samples
         if self.interrupted:
             row["interrupted"] = True
         return row
@@ -187,13 +190,16 @@ def run_retrain_loop(config: RetrainLoopConfig | None = None) -> RetrainLoopResu
     service.set_popularity_provider(live_popularity(incumbent, log))
     incumbent_recall = offline_recall(incumbent, eval_positives, config.k)
 
-    # Canary wiring: each canary tick re-serves the most recent chunk's
-    # users through the splitter — the scenario's stand-in for live traffic.
-    recent_users: list[int] = []
+    # Canary wiring: each canary tick re-serves every known user — the
+    # retained ones and those streamed so far — through the splitter, the
+    # scenario's stand-in for live traffic.  The cohort is a hash of the run
+    # id; the streamed users alone (15 in the smoke run) are too few for any
+    # of them to be sure to fall inside it, and the canary then times out
+    # without a single sample.
+    known_users: set[int] = set(range(cutoff))
 
     def canary_traffic(splitter) -> None:
-        if recent_users:
-            splitter.recommend_many(recent_users, k=config.k)
+        splitter.recommend_many(sorted(known_users), k=config.k)
 
     canary_fractions: tuple[float, ...] = ()
     if config.canary_fraction > 0:
@@ -257,7 +263,7 @@ def run_retrain_loop(config: RetrainLoopConfig | None = None) -> RetrainLoopResu
                 chunk[:, 1],
                 timestamps=np.arange(start, start + len(chunk), dtype=np.float64),
             )
-            recent_users[:] = [int(user) for user in np.unique(chunk[:, 0])]
+            known_users.update(chunk[:, 0].tolist())
             updater.apply()
             report = orchestrator.tick()
             reports.append(report)
@@ -269,7 +275,7 @@ def run_retrain_loop(config: RetrainLoopConfig | None = None) -> RetrainLoopResu
             if orchestrator.ticks >= config.max_ticks:
                 break
         # Tail: a multi-tick canary may still be in flight when the event
-        # stream runs dry — keep ticking on the last chunk's traffic until
+        # stream runs dry — keep ticking on the known users' traffic until
         # the analyzer reaches a verdict (or the tick budget runs out).
         while (
             not stop_requested.is_set()
@@ -288,10 +294,12 @@ def run_retrain_loop(config: RetrainLoopConfig | None = None) -> RetrainLoopResu
         if installed:
             signal_module.signal(signal_module.SIGINT, previous_handler)
 
-    canary_decision = None
+    canary_decision, canary_samples = None, 0
     last_run = orchestrator.journal.load()
     if last_run is not None:
-        canary_decision = last_run.get("stages", {}).get("canary", {}).get("decision")
+        canary_stage = last_run.get("stages", {}).get("canary", {})
+        canary_decision = canary_stage.get("decision")
+        canary_samples = int(canary_stage.get("guardrails", {}).get("samples", 0))
 
     final_recall = offline_recall(service.snapshot, eval_positives, config.k)
     log.close()
@@ -307,6 +315,7 @@ def run_retrain_loop(config: RetrainLoopConfig | None = None) -> RetrainLoopResu
         serving_id=service.snapshot.snapshot_id,
         cycles=cycles,
         canary_decision=canary_decision,
+        canary_samples=canary_samples,
         interrupted=stop_requested.is_set(),
         reports=tuple(reports),
     )

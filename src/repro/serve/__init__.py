@@ -18,7 +18,7 @@ This package turns a trained recommender into an online system answering
   :class:`CanaryAnalyzer` (sequential promote/extend/abort guardrail rules)
   for staged candidate rollouts.
 
-Snapshot file format (``.npz``, format version 1)
+Snapshot file format (``.npz``, format version 2)
 -------------------------------------------------
 
 A snapshot is a compressed NumPy archive with five arrays and one JSON string:
@@ -41,11 +41,19 @@ A snapshot is a compressed NumPy archive with five arrays and one JSON string:
                      ``repro_version``, shape fields, ``created_at``
                      (UTC ISO-8601) and ``snapshot_id`` — a 16-hex-digit
                      content hash of both embedding tables that changes iff
-                     the embeddings do (the result cache is keyed on it).
+                     their bytes do (the result cache is keyed on it): the
+                     first 16 hex digits of a SHA-256 over ``num_users`` and
+                     ``num_items`` (little-endian int64), then the SHA-256
+                     digest of every 256-row block of ``user_embeddings``,
+                     then of every block of ``item_embeddings``.  Delta
+                     snapshots add ``base_snapshot_id``,
+                     ``delta_generation`` and ``delta_event_range``.
 ===================  =========================================================
 
 Readers must reject files whose ``format_version`` they do not know; writers
 bump :data:`repro.serve.snapshot.SNAPSHOT_FORMAT_VERSION` on layout changes.
+Version 2 changed only the ``snapshot_id`` definition (version 1 hashed both
+tables whole); a version-1 archive is rejected with a request to re-export it.
 
 Quickstart::
 

@@ -38,8 +38,12 @@ __all__ = [
     "active_snapshot_id",
 ]
 
-#: Bump when the on-disk layout changes; loaders reject unknown major versions.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Bump when the on-disk layout or the ``snapshot_id`` definition changes;
+#: loaders reject every other version.  Version 2 ids hash row blocks.
+SNAPSHOT_FORMAT_VERSION = 2
+
+#: Rows per hashed block of an embedding table (see :func:`_content_hash`).
+_HASH_BLOCK_ROWS = 256
 
 #: The arrays persisted in every snapshot archive, in canonical order.
 _ARRAY_FIELDS = (
@@ -81,8 +85,15 @@ class EmbeddingSnapshot:
         dataset, shapes, creation time and a content-addressed ``snapshot_id``.
     base:
         Init-only: the snapshot a delta derives from
-        (:func:`build_delta_snapshot`).  An item table shared with ``base``
-        was checked when ``base`` was built, so it is not scanned again.
+        (:func:`build_delta_snapshot`).  Row blocks whose bytes equal
+        ``base``'s, and an item table that *is* ``base``'s, were hashed and
+        checked when ``base`` was built: their digests are reused and they
+        are not scanned for NaN/inf again.  No reference to ``base`` is kept.
+
+    Every snapshot also holds the SHA-256 digest of each
+    ``_HASH_BLOCK_ROWS``-row block of both tables (private, in memory only;
+    never persisted).  The tables are treated as immutable: writing into them
+    after construction leaves those digests, and ``snapshot_id``, stale.
     """
 
     user_embeddings: np.ndarray
@@ -108,14 +119,19 @@ class EmbeddingSnapshot:
             raise ValueError("train_indptr must have num_users + 1 entries")
         if len(self.item_popularity) != self.num_items:
             raise ValueError("item_popularity must have one entry per item")
-        tables = ["user_embeddings"]
-        if base is None or self.item_embeddings is not base.item_embeddings:
-            tables.append("item_embeddings")
-        for name in tables:
-            table = getattr(self, name)
-            if not np.isfinite(table).all():
-                bad = int(table.size - np.count_nonzero(np.isfinite(table)))
-                raise ValueError(f"{name} holds {bad} NaN/inf entries; a snapshot must be finite")
+        if base is None:
+            user_digests, fresh = _block_digests(self.user_embeddings)
+        else:
+            user_digests, fresh = _block_digests(
+                self.user_embeddings, base.user_embeddings, base._block_digests[0]
+            )
+        _require_finite("user_embeddings", self.user_embeddings, fresh)
+        if base is not None and self.item_embeddings is base.item_embeddings:
+            item_digests = base._block_digests[1]
+        else:
+            item_digests, fresh = _block_digests(self.item_embeddings)
+            _require_finite("item_embeddings", self.item_embeddings, fresh)
+        self._block_digests = (user_digests, item_digests)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -134,7 +150,15 @@ class EmbeddingSnapshot:
 
     @property
     def snapshot_id(self) -> str:
-        """Content hash of the embedding tables; changes iff the model did."""
+        """The recorded content id of the embedding tables.
+
+        :func:`build_snapshot`, :func:`build_delta_snapshot` and
+        :func:`load_snapshot` set it to :func:`_content_hash` of the tables —
+        the first 16 hex digits of a SHA-256 over the row counts and the
+        per-block SHA-256 digests, users then items — so it changes iff the
+        tables' bytes do.  A delta computes it from its base's block digests,
+        re-hashing only the blocks whose bytes changed.
+        """
         return self.metadata["snapshot_id"]
 
     def train_items(self, user: int) -> np.ndarray:
@@ -176,11 +200,75 @@ class EmbeddingSnapshot:
         return save_snapshot(self, path)
 
 
-def _content_hash(user_embeddings: np.ndarray, item_embeddings: np.ndarray) -> str:
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(user_embeddings).tobytes())
-    digest.update(np.ascontiguousarray(item_embeddings).tobytes())
+def _block_digests(
+    table: np.ndarray,
+    base_table: np.ndarray | None = None,
+    base_digests: tuple[bytes, ...] = (),
+) -> tuple[tuple[bytes, ...], list[int]]:
+    """SHA-256 digest of each ``_HASH_BLOCK_ROWS``-row block of ``table``.
+
+    A block whose bytes equal the same rows of ``base_table`` reuses the
+    base's digest.  Bytes, not values, are compared: ``0.0 == -0.0`` holds,
+    yet the two hash differently.  Also returns the indices of the blocks
+    hashed afresh (every block without a base).
+    """
+    table = np.ascontiguousarray(table)
+    if base_table is not None:
+        base_table = np.ascontiguousarray(base_table)
+    digests: list[bytes] = []
+    fresh: list[int] = []
+    for block, start in enumerate(range(0, len(table), _HASH_BLOCK_ROWS)):
+        rows = table[start : start + _HASH_BLOCK_ROWS]
+        if (
+            block < len(base_digests)
+            and rows.tobytes() == base_table[start : start + _HASH_BLOCK_ROWS].tobytes()
+        ):
+            digests.append(base_digests[block])
+        else:
+            digests.append(hashlib.sha256(rows).digest())
+            fresh.append(block)
+    return tuple(digests), fresh
+
+
+def _require_finite(name: str, table: np.ndarray, blocks: list[int]) -> None:
+    """Raise if the listed row blocks of ``table`` hold a NaN or inf."""
+    bad = 0
+    for block in blocks:
+        rows = table[block * _HASH_BLOCK_ROWS : (block + 1) * _HASH_BLOCK_ROWS]
+        bad += rows.size - int(np.count_nonzero(np.isfinite(rows)))
+    if bad:
+        raise ValueError(f"{name} holds {bad} NaN/inf entries; a snapshot must be finite")
+
+
+def _id_from_digests(
+    num_users: int, num_items: int, user_digests: tuple[bytes, ...], item_digests: tuple[bytes, ...]
+) -> str:
+    digest = hashlib.sha256(np.array([num_users, num_items], dtype="<i8").tobytes())
+    digest.update(b"".join(user_digests))
+    digest.update(b"".join(item_digests))
     return digest.hexdigest()[:16]
+
+
+def _content_hash(user_embeddings: np.ndarray, item_embeddings: np.ndarray) -> str:
+    """The ``snapshot_id`` of two tables, computed from scratch.
+
+    Each table is cut into blocks of ``_HASH_BLOCK_ROWS`` rows and each
+    block's bytes are SHA-256 hashed; the id is the first 16 hex digits of a
+    SHA-256 over both row counts (little-endian int64), then the user-block
+    digests, then the item-block digests.  It changes iff the tables' bytes
+    (or shapes) do.  Snapshots keep their block digests, so a delta re-hashes
+    only the blocks it changed; this function is the from-scratch reference.
+    """
+    users = np.atleast_2d(np.asarray(user_embeddings))
+    items = np.atleast_2d(np.asarray(item_embeddings))
+    return _id_from_digests(
+        len(users), len(items), _block_digests(users)[0], _block_digests(items)[0]
+    )
+
+
+def _snapshot_content_id(snapshot: EmbeddingSnapshot) -> str:
+    """:func:`_content_hash` of ``snapshot``'s tables, from its kept digests."""
+    return _id_from_digests(snapshot.num_users, snapshot.num_items, *snapshot._block_digests)
 
 
 def _train_csr(train_pairs: np.ndarray, num_users: int, num_items: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,11 +322,10 @@ def build_snapshot(
         "num_items": num_items,
         "embedding_dim": user_embeddings.shape[1],
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "snapshot_id": _content_hash(user_embeddings, item_embeddings),
     }
     if extra_metadata:
         metadata.update(extra_metadata)
-    return EmbeddingSnapshot(
+    snapshot = EmbeddingSnapshot(
         user_embeddings=user_embeddings,
         item_embeddings=item_embeddings,
         train_indptr=indptr,
@@ -246,6 +333,8 @@ def build_snapshot(
         item_popularity=popularity,
         metadata=metadata,
     )
+    metadata["snapshot_id"] = _snapshot_content_id(snapshot)
+    return snapshot
 
 
 def build_delta_snapshot(
@@ -262,7 +351,10 @@ def build_delta_snapshot(
     The item table is *shared* (same array object) with the base — streaming
     fold-in never retrains items, and keeping the object identity lets the
     serving layer detect that any item-side index remains valid across the
-    swap.  Provenance is recorded in the metadata: ``base_snapshot_id`` (the
+    swap.  The new ``snapshot_id`` reuses ``base``'s block digests for the
+    item table and for every user block whose bytes are unchanged, so only
+    the rows the delta changed or appended are re-hashed (and scanned for
+    NaN/inf).  Provenance is recorded in the metadata: ``base_snapshot_id`` (the
     immediate parent), ``delta_generation`` (parent's generation + 1) and
     ``delta_event_range`` (the half-open event-log sequence window the
     producing update cycle drained — successive deltas tile the log; see
@@ -278,7 +370,6 @@ def build_delta_snapshot(
         {
             "num_users": user_embeddings.shape[0],
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            "snapshot_id": _content_hash(user_embeddings, base.item_embeddings),
             "base_snapshot_id": base.snapshot_id,
             "delta_generation": base.delta_generation + 1,
             "delta_event_range": [start, stop],
@@ -286,7 +377,7 @@ def build_delta_snapshot(
     )
     if extra_metadata:
         metadata.update(extra_metadata)
-    return EmbeddingSnapshot(
+    snapshot = EmbeddingSnapshot(
         user_embeddings=user_embeddings,
         item_embeddings=base.item_embeddings,
         train_indptr=train_indptr,
@@ -295,6 +386,8 @@ def build_delta_snapshot(
         metadata=metadata,
         base=base,
     )
+    metadata["snapshot_id"] = _snapshot_content_id(snapshot)
+    return snapshot
 
 
 def create_snapshot(model, model_name: str | None = None, extra_metadata: dict | None = None) -> EmbeddingSnapshot:
@@ -355,7 +448,7 @@ def active_snapshot_id(directory: str | Path = ".") -> str | None:
 
 
 def _array_digest(array: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+    return hashlib.sha256(np.ascontiguousarray(array)).hexdigest()
 
 
 def build_manifest(snapshot: EmbeddingSnapshot) -> dict:
@@ -425,15 +518,8 @@ def _validate_metadata(path: Path, metadata: dict, arrays: dict) -> None:
             f"{path}: snapshot metadata disagrees with its arrays "
             f"({'; '.join(mismatches)}) — the file is corrupt or was tampered with"
         )
-    expected_id = metadata.get("snapshot_id")
-    if not expected_id:
+    if not metadata.get("snapshot_id"):
         raise SnapshotIntegrityError(f"{path}: snapshot metadata is missing its snapshot_id")
-    actual_id = _content_hash(users, items)
-    if actual_id != expected_id:
-        raise SnapshotIntegrityError(
-            f"{path}: embedding content hash {actual_id} does not match the "
-            f"recorded snapshot_id {expected_id} — the embedding tables are corrupt"
-        )
 
 
 def _verify_manifest(path: Path, metadata: dict, arrays: dict) -> None:
@@ -498,10 +584,16 @@ def load_snapshot(path: str | Path, verify: bool = False) -> EmbeddingSnapshot:
         except KeyError as error:
             raise ValueError(f"{path} is not a repro embedding snapshot") from error
         version = int(metadata.get("format_version", -1))
-        if version > SNAPSHOT_FORMAT_VERSION or version < 1:
+        if version == 1:
+            raise ValueError(
+                f"{path}: snapshot format version 1 records a snapshot_id this "
+                "build no longer computes (ids now hash row blocks); re-export "
+                "the snapshot from its model or tables with this build"
+            )
+        if version != SNAPSHOT_FORMAT_VERSION:
             raise ValueError(
                 f"snapshot format version {version} is not supported by this "
-                f"build (expected 1..{SNAPSHOT_FORMAT_VERSION})"
+                f"build (expected {SNAPSHOT_FORMAT_VERSION})"
             )
         try:
             arrays = {name: archive[name] for name in _ARRAY_FIELDS}
@@ -510,6 +602,16 @@ def load_snapshot(path: str | Path, verify: bool = False) -> EmbeddingSnapshot:
                 f"{path}: snapshot archive is incomplete or unreadable ({error})"
             ) from error
     _validate_metadata(path, metadata, arrays)
+    try:
+        snapshot = EmbeddingSnapshot(metadata=metadata, **arrays)
+    except ValueError as error:  # non-finite tables, a CSR of the wrong length
+        raise SnapshotIntegrityError(f"{path}: {error}") from error
+    actual_id = _snapshot_content_id(snapshot)
+    if actual_id != snapshot.snapshot_id:
+        raise SnapshotIntegrityError(
+            f"{path}: embedding content hash {actual_id} does not match the "
+            f"recorded snapshot_id {snapshot.snapshot_id} — the embedding tables are corrupt"
+        )
     if verify:
         _verify_manifest(path, metadata, arrays)
-    return EmbeddingSnapshot(metadata=metadata, **arrays)
+    return snapshot

@@ -330,82 +330,84 @@ class StreamingUpdater:
         # weight, are dropped (and counted) rather than raising: a single
         # poison event written straight to the log must not wedge every future
         # cycle at the same sequence number.
-        pending_items: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {
-            user: (list(items), list(weights))
-            for user, (items, weights) in self._deferred.items()
-        }
-        events_applied = 0
-        events_rejected = 0
-        for batch in self.log.replay(self.batch_size, start, stop):
-            self.monitor.observe_batch(batch)
-            for user, (batch_items, batch_weights) in batch.by_user(with_weights=True).items():
-                valid = (
-                    (batch_items >= 0)
-                    & (batch_items < snapshot.num_items)
-                    & np.isfinite(batch_weights)
-                )
-                if not valid.all():
-                    events_rejected += int((~valid).sum())
-                    batch_items, batch_weights = batch_items[valid], batch_weights[valid]
-                    if not batch_items.size:
-                        continue
-                items, weights = pending_items.setdefault(int(user), ([], []))
-                items.append(batch_items)
-                weights.append(batch_weights)
-            events_applied += len(batch)
+        with span("stream.drain"):
+            pending_items: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {
+                user: (list(items), list(weights))
+                for user, (items, weights) in self._deferred.items()
+            }
+            events_applied = 0
+            events_rejected = 0
+            for batch in self.log.replay(self.batch_size, start, stop):
+                self.monitor.observe_batch(batch)
+                for user, (batch_items, batch_weights) in batch.by_user(with_weights=True).items():
+                    valid = (
+                        (batch_items >= 0)
+                        & (batch_items < snapshot.num_items)
+                        & np.isfinite(batch_weights)
+                    )
+                    if not valid.all():
+                        events_rejected += int((~valid).sum())
+                        batch_items, batch_weights = batch_items[valid], batch_weights[valid]
+                        if not batch_items.size:
+                            continue
+                    items, weights = pending_items.setdefault(int(user), ([], []))
+                    items.append(batch_items)
+                    weights.append(batch_weights)
+                events_applied += len(batch)
 
         # Phase 2: fold in every user with enough total history.
-        num_users = snapshot.num_users
-        fold_ins: list[FoldInResult] = []
-        deferred: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-        new_pair_blocks: list[np.ndarray] = []
-        users_rejected = 0
-        for user, (item_blocks, weight_blocks) in sorted(pending_items.items()):
-            if user >= self._base_num_users + self.max_new_users:
-                # Dense growth to this id would be unbounded; drop, don't die.
-                users_rejected += 1
-                events_rejected += sum(len(block) for block in item_blocks)
-                continue
-            new_items = np.concatenate(item_blocks)
-            new_weights = np.concatenate(weight_blocks)
-            known = user < num_users
-            train_items = snapshot.train_items(user) if known else np.empty(0, dtype=np.int64)
-            history = np.concatenate([train_items, new_items])
-            if len(np.unique(history)) < self.min_interactions:
-                deferred[user] = (item_blocks, weight_blocks)
-                continue
-            weights = np.concatenate([np.ones(len(train_items)), new_weights])
-            # A known user's trained embedding is blended in when they have
-            # one: either train history backs the row, or the row is non-zero
-            # (trained without recorded history).  All-zero rows are the gap
-            # fillers from earlier table growth — blending against those
-            # would just shrink the solve.
-            previous = None
-            if known:
-                row = snapshot.user_embeddings[user]
-                if len(train_items) or np.any(row):
-                    previous = row
-            result = fold_in_user(
-                user,
-                snapshot.item_embeddings[history],
-                previous=previous,
-                weights=weights,
-                config=self.fold_in,
-                gram=self._item_gram,
-            )
-            if not np.isfinite(result.embedding).all():
-                # Finite but extreme weights can still overflow the solve; a
-                # non-finite row would fail the delta snapshot's finite check
-                # and wedge the cycle, so this user's events are dropped.
-                users_rejected += 1
-                events_rejected += len(new_items)
-                continue
-            self.monitor.observe_residual(result.residual, count=len(new_items))
-            self._m_residual.observe(result.residual)
-            fold_ins.append(result)
-            new_pair_blocks.append(
-                np.column_stack([np.full(len(new_items), user, dtype=np.int64), new_items])
-            )
+        with span("stream.fold_in"):
+            num_users = snapshot.num_users
+            fold_ins: list[FoldInResult] = []
+            deferred: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+            new_pair_blocks: list[np.ndarray] = []
+            users_rejected = 0
+            for user, (item_blocks, weight_blocks) in sorted(pending_items.items()):
+                if user >= self._base_num_users + self.max_new_users:
+                    # Dense growth to this id would be unbounded; drop, don't die.
+                    users_rejected += 1
+                    events_rejected += sum(len(block) for block in item_blocks)
+                    continue
+                new_items = np.concatenate(item_blocks)
+                new_weights = np.concatenate(weight_blocks)
+                known = user < num_users
+                train_items = snapshot.train_items(user) if known else np.empty(0, dtype=np.int64)
+                history = np.concatenate([train_items, new_items])
+                if len(np.unique(history)) < self.min_interactions:
+                    deferred[user] = (item_blocks, weight_blocks)
+                    continue
+                weights = np.concatenate([np.ones(len(train_items)), new_weights])
+                # A known user's trained embedding is blended in when they have
+                # one: either train history backs the row, or the row is non-zero
+                # (trained without recorded history).  All-zero rows are the gap
+                # fillers from earlier table growth — blending against those
+                # would just shrink the solve.
+                previous = None
+                if known:
+                    row = snapshot.user_embeddings[user]
+                    if len(train_items) or np.any(row):
+                        previous = row
+                result = fold_in_user(
+                    user,
+                    snapshot.item_embeddings[history],
+                    previous=previous,
+                    weights=weights,
+                    config=self.fold_in,
+                    gram=self._item_gram,
+                )
+                if not np.isfinite(result.embedding).all():
+                    # Finite but extreme weights can still overflow the solve; a
+                    # non-finite row would fail the delta snapshot's finite check
+                    # and wedge the cycle, so this user's events are dropped.
+                    users_rejected += 1
+                    events_rejected += len(new_items)
+                    continue
+                self.monitor.observe_residual(result.residual, count=len(new_items))
+                self._m_residual.observe(result.residual)
+                fold_ins.append(result)
+                new_pair_blocks.append(
+                    np.column_stack([np.full(len(new_items), user, dtype=np.int64), new_items])
+                )
 
         if not fold_ins:
             self._applied_seq = stop
@@ -425,34 +427,37 @@ class StreamingUpdater:
             )
 
         # Phase 3: patch the user table, train CSR and popularity counts.
-        grown_users = max(num_users, max(r.user_id for r in fold_ins) + 1)
-        user_table = np.zeros((grown_users, snapshot.dim), dtype=snapshot.user_embeddings.dtype)
-        user_table[:num_users] = snapshot.user_embeddings
-        for result in fold_ins:
-            user_table[result.user_id] = result.embedding
-        pairs = np.concatenate(new_pair_blocks, axis=0)
-        indptr, indices = merge_into_csr(
-            snapshot.train_indptr, snapshot.train_indices, pairs, grown_users
-        )
-        popularity = snapshot.item_popularity.astype(np.int64) + np.bincount(
-            pairs[:, 1], minlength=snapshot.num_items
-        )
+        with span("stream.csr_patch"):
+            grown_users = max(num_users, max(r.user_id for r in fold_ins) + 1)
+            user_table = np.zeros((grown_users, snapshot.dim), dtype=snapshot.user_embeddings.dtype)
+            user_table[:num_users] = snapshot.user_embeddings
+            for result in fold_ins:
+                user_table[result.user_id] = result.embedding
+            pairs = np.concatenate(new_pair_blocks, axis=0)
+            indptr, indices = merge_into_csr(
+                snapshot.train_indptr, snapshot.train_indices, pairs, grown_users
+            )
+            popularity = snapshot.item_popularity.astype(np.int64) + np.bincount(
+                pairs[:, 1], minlength=snapshot.num_items
+            )
 
         # Phase 4: delta snapshot + zero-downtime hot swap.  The item table is
         # shared with the base, so the existing item index stays valid and is
         # carried across the swap instead of being rebuilt.
-        delta = build_delta_snapshot(
-            snapshot,
-            user_embeddings=user_table,
-            train_indptr=indptr,
-            train_indices=indices,
-            item_popularity=popularity,
-            event_range=(start, stop),
-        )
+        with span("stream.delta_build"):
+            delta = build_delta_snapshot(
+                snapshot,
+                user_embeddings=user_table,
+                train_indptr=indptr,
+                train_indices=indices,
+                item_popularity=popularity,
+                event_range=(start, stop),
+            )
         index = None
         if self.reuse_index and delta.item_embeddings is snapshot.item_embeddings:
             index = self.service.index
-        self.service.swap_snapshot(delta, index=index)
+        with span("stream.swap"):
+            self.service.swap_snapshot(delta, index=index)
 
         # Only a successful swap commits the cursor: if anything above raised,
         # the drained window stays pending and the next apply() retries it

@@ -107,7 +107,16 @@ class TestKilledControllerChaos:
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv(FAULTS_ENV, "1")
-        harness = CanaryHarness(tmp_path, canary_policy=CHAOS_POLICY)
+        # The cohort is a hash of the run id, which names the incumbent's
+        # snapshot id.  No single tick of ALL_USERS traffic may settle the
+        # canary, whatever cohort that hash draws, so the controller dies
+        # mid-rollout; abort still engages before any ramp.
+        one_tick_short = len(ALL_USERS) + 1
+        policy = GuardrailPolicy(
+            min_samples=one_tick_short, min_abort_samples=one_tick_short,
+            min_overlap=0.0, max_error_rate=0.05,
+        )
+        harness = CanaryHarness(tmp_path, canary_policy=policy)
         harness.orchestrator.submit(make_signal())
         injector = FaultInjector()
         injector.arm("canary.candidate", at=None, times=None, probability=1.0)

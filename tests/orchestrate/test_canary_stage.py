@@ -195,7 +195,16 @@ class TestStageFlow:
 
 class TestResumeMidCanary:
     def test_restarted_controller_keeps_cohort_and_evidence(self, tmp_path):
-        harness = CanaryHarness(tmp_path)
+        # The cohort is a hash of the run id, which names the incumbent's
+        # snapshot id.  Two ticks of ALL_USERS traffic must not ramp the
+        # fraction, whatever cohort that hash draws, or the resumed tick would
+        # widen the cohort it is compared against.
+        harness = CanaryHarness(
+            tmp_path,
+            canary_policy=GuardrailPolicy(
+                min_samples=2 * len(ALL_USERS) + 1, min_abort_samples=4, min_overlap=0.0
+            ),
+        )
         harness.orchestrator.submit(make_signal())
         harness.orchestrator.tick()  # in flight: evidence journaled
         splitter = harness.orchestrator.active_splitter

@@ -89,3 +89,16 @@ class TestConfigValidation:
     def test_bad_knobs_rejected(self, tmp_path, overrides):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, **overrides)
+
+
+class TestCanaryTraffic:
+    def test_canary_verdict_rests_on_cohort_samples(self, tmp_path):
+        # The smoke run's config: 15 users stream in, and the cohort is a hash
+        # of the run id.  The canary serves every known user, so its verdict
+        # rests on real cohort traffic, not on the tick budget running out.
+        result = run_retrain_loop(
+            RetrainLoopConfig(directory=tmp_path, scale=0.15, epochs=2, canary_fraction=0.2)
+        )
+        assert result.canary_decision in {"promote", "abort"}
+        assert result.canary_samples > 0
+        assert result.as_row()["canary samples"] == result.canary_samples

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.obs.tracing import Tracer, use_tracer
 from repro.serve import IVFIndex, RecommendationService, build_snapshot
 from repro.stream import (
     DriftConfig,
@@ -365,6 +366,27 @@ class TestBookkeeping:
         reports = updater.run_until_drained()
         assert updater.pending() == 0
         assert sum(r.users_folded_in for r in reports) == 4
+
+
+class TestStageSpans:
+    STAGES = ("stream.drain", "stream.fold_in", "stream.csr_patch", "stream.delta_build", "stream.swap")
+
+    def test_stages_nest_under_apply(self, rig, snapshot):
+        service, _, updater = rig
+        service.record_interaction(3, 1)
+        service.record_interaction(snapshot.num_users, 2)
+        with use_tracer(Tracer()) as tracer:
+            assert updater.apply().swapped
+        (apply_span,) = [s for s in tracer.spans if s.name == "stream.apply"]
+        children = [s for s in tracer.spans if s.parent_id == apply_span.span_id]
+        assert tuple(s.name for s in children) == self.STAGES
+        assert all(s.path == ("stream.apply", s.name) for s in children)
+
+    def test_cycle_without_fold_ins_stops_after_fold_in(self, rig):
+        _, _, updater = rig
+        with use_tracer(Tracer()) as tracer:
+            assert not updater.apply().swapped
+        assert [s.name for s in tracer.spans] == ["stream.drain", "stream.fold_in", "stream.apply"]
 
 
 class TestIndexReuse:
