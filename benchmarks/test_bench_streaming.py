@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.stream import FoldInConfig, StreamSimulationConfig, simulate_stream
+from repro.stream import StreamSimulationConfig, simulate_stream
 
 from .conftest import run_once
 
@@ -93,27 +93,6 @@ def test_foldin_throughput(scale):
         f"{result.snapshot_generations} snapshot swaps)"
     )
     assert result.events_per_second >= EVENTS_PER_SEC_FLOOR
-
-
-def test_gradient_foldin_parity():
-    """The repro.nn gradient solver lands in the same quality band (factors
-    mode, where the oracle reference makes the ratio a strict lower bound)."""
-    ridge = simulate_stream(throughput_config(0.5))
-    gradient = simulate_stream(
-        StreamSimulationConfig(
-            dataset="amazon-book",
-            scale=0.5,
-            mode="factors",
-            chunk_size=256,
-            k=TOP_K,
-            fold_in=FoldInConfig(method="gradient", gradient_steps=60, learning_rate=0.05),
-        )
-    )
-    print(
-        f"\nridge ratio={ridge.recall_ratio:.3f} "
-        f"gradient ratio={gradient.recall_ratio:.3f}"
-    )
-    assert gradient.recall_ratio >= 0.8 * ridge.recall_ratio
 
 
 def test_bench_stream_apply(benchmark):

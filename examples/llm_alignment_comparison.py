@@ -1,9 +1,7 @@
 """Compare all LLM-enhancement strategies on one backbone (paper Table IV scenario).
 
 Trains the same LightGCN backbone five times — plain, RLMRec-Con, RLMRec-Gen,
-KAR and DaRec — with an identical budget and prints R@20 / N@20 plus the
-statistical significance of DaRec against the strongest competitor (the paper's
-† marker).
+KAR and DaRec — with an identical budget and prints R@20 / N@20.
 
 Run with::
 
@@ -14,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from repro.eval import RankingEvaluator, compare_results
+from repro.eval import RankingEvaluator
 from repro.experiments import (
     ExperimentScale,
     build_dataset_and_semantics,
@@ -38,7 +36,7 @@ def main() -> None:
     dataset, semantic = build_dataset_and_semantics(args.dataset, scale)
     evaluator = RankingEvaluator(dataset, ks=(20,))
 
-    rows, per_user = [], {}
+    rows = []
     for variant in VARIANTS:
         backbone = make_backbone("lightgcn", dataset, scale)
         alignment = build_variant(variant, backbone, semantic, scale)
@@ -48,7 +46,6 @@ def main() -> None:
             TrainingConfig(epochs=scale.epochs, batch_size=scale.batch_size, trade_off=scale.trade_off),
         ).fit()
         result = evaluator.evaluate(model)
-        per_user[variant] = result.per_user
         rows.append(
             {
                 "variant": variant,
@@ -58,15 +55,6 @@ def main() -> None:
         )
 
     print_table(rows, title=f"LLM-enhanced methods on {args.dataset} (LightGCN backbone)")
-
-    best_competitor = max(
-        (row for row in rows if row["variant"] != "darec"), key=lambda row: row["recall@20"]
-    )["variant"]
-    significance = compare_results(per_user["darec"], per_user[best_competitor], "recall@20")
-    print(
-        f"\nDaRec vs {best_competitor}: mean diff={significance.mean_difference:+.4f}, "
-        f"p-value={significance.p_value:.3f}, significant={significance.significant}"
-    )
 
 
 if __name__ == "__main__":

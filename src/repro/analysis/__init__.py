@@ -17,12 +17,6 @@ from .case_study import (
     pair_relevance,
     relevance_report,
 )
-from .embedding_quality import (
-    alignment_metric,
-    uniformity_metric,
-    neighborhood_overlap,
-    embedding_quality_report,
-)
 
 __all__ = [
     "TSNEConfig",
@@ -40,8 +34,4 @@ __all__ = [
     "find_distant_user_pairs",
     "pair_relevance",
     "relevance_report",
-    "alignment_metric",
-    "uniformity_metric",
-    "neighborhood_overlap",
-    "embedding_quality_report",
 ]

@@ -170,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=int, default=256, help="events per updater micro-batch cycle"
     )
     simulate.add_argument("-k", "--top-k", type=int, default=20, help="recall cut-off")
-    simulate.add_argument(
-        "--method", choices=("ridge", "gradient"), default="ridge", help="fold-in solver"
-    )
     simulate.add_argument("--l2", type=float, default=0.1, help="fold-in ridge regularisation")
     simulate.add_argument("--seed", type=int, default=0, help="random seed")
     simulate.add_argument(
@@ -383,9 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="interacted item id (repeat for several items)",
     )
     fold_in.add_argument("-k", "--top-k", type=int, default=10, help="list length")
-    fold_in.add_argument(
-        "--method", choices=("ridge", "gradient"), default="ridge", help="fold-in solver"
-    )
     fold_in.add_argument("--l2", type=float, default=0.1, help="ridge regularisation")
     fold_in.add_argument(
         "--output", "-o", default=None, help="optionally save the delta snapshot here (.npz)"
@@ -576,12 +570,12 @@ def _command_stream_simulate(args: argparse.Namespace) -> int:
         chunk_size=chunk_size,
         k=args.top_k,
         seed=args.seed,
-        fold_in=FoldInConfig(l2=args.l2, method=args.method),
+        fold_in=FoldInConfig(l2=args.l2),
     )
     result = simulate_stream(config)
     print_table(
         [result.as_row()],
-        title=f"stream-simulate — {args.dataset} scale={scale} ({args.method} fold-in)",
+        title=f"stream-simulate — {args.dataset} scale={scale}",
     )
     print(
         f"applied {result.events_replayed} events in {result.apply_seconds:.3f}s "
@@ -707,9 +701,7 @@ def _command_fold_in(args: argparse.Namespace) -> int:
     snapshot = load_snapshot(args.snapshot)
     service = RecommendationService(snapshot, default_k=args.top_k)
     log = EventLog()
-    updater = StreamingUpdater(
-        service, log, fold_in=FoldInConfig(l2=args.l2, method=args.method)
-    )
+    updater = StreamingUpdater(service, log, fold_in=FoldInConfig(l2=args.l2))
     before = service.recommend(args.user, k=args.top_k)
     for item in args.item:
         service.record_interaction(args.user, item)

@@ -1,4 +1,4 @@
-"""Evaluation: ranking metrics, all-ranking protocol, significance tests."""
+"""Evaluation: ranking metrics and the all-ranking protocol."""
 
 from .metrics import (
     recall_at_k,
@@ -10,7 +10,6 @@ from .metrics import (
 )
 from .protocol import EvaluationResult, RankingEvaluator, evaluate_scores
 from .topk import topk, topk_indices
-from .significance import SignificanceResult, paired_t_test, permutation_test, compare_results
 
 __all__ = [
     "recall_at_k",
@@ -24,8 +23,4 @@ __all__ = [
     "evaluate_scores",
     "topk",
     "topk_indices",
-    "SignificanceResult",
-    "paired_t_test",
-    "permutation_test",
-    "compare_results",
 ]

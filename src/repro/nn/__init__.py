@@ -35,7 +35,7 @@ is always safe to leave on.
 
 from .tensor import Tensor, as_tensor, no_grad, is_grad_enabled, is_tracing, TraceError
 from .layers import Module, Parameter, Linear, MLP, Embedding, Dropout, Sequential
-from .optim import Optimizer, SGD, Adam
+from .optim import Optimizer, Adam
 from .sparse import sparse_dense_matmul
 from . import functional, init
 
@@ -60,7 +60,6 @@ __all__ = [
     "Dropout",
     "Sequential",
     "Optimizer",
-    "SGD",
     "Adam",
     "sparse_dense_matmul",
     "functional",

@@ -1,4 +1,4 @@
-"""Optimisers for the autograd substrate (SGD with momentum, Adam)."""
+"""Optimisers for the autograd substrate (Adam on an :class:`Optimizer` base)."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from .layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]
 
 
 class Optimizer:
@@ -39,36 +39,6 @@ class Optimizer:
         if self.weight_decay:
             grad = grad + self.weight_decay * param.data
         return grad
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional Polyak momentum."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr, weight_decay)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            grad = self._grad(param)
-            if grad is None:
-                continue
-            if self.momentum:
-                velocity *= self.momentum
-                velocity += grad
-                update = velocity
-            else:
-                update = grad
-            param.data = param.data - self.lr * update
 
 
 class Adam(Optimizer):

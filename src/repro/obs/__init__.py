@@ -60,7 +60,7 @@ from .metrics import (
 )
 from .profile import OpProfiler, ProfileReport, ProfileRow
 from .slo import SLO, SLOEngine, SLOStatus, default_serving_slos
-from .timeseries import MetricsSampler, TimeSeriesConfig, TimeSeriesDB
+from .timeseries import TimeSeriesConfig, TimeSeriesDB
 from .tracing import (
     Span,
     Tracer,
@@ -117,7 +117,6 @@ __all__ = [
     # time-series history
     "TimeSeriesDB",
     "TimeSeriesConfig",
-    "MetricsSampler",
     # SLOs
     "SLO",
     "SLOStatus",

@@ -1,8 +1,7 @@
 """The health engine: one object that samples, evaluates, alerts, and acts.
 
 :class:`HealthEngine` composes the tentpole pieces —
-:class:`~repro.obs.timeseries.TimeSeriesDB` +
-:class:`~repro.obs.timeseries.MetricsSampler` (history),
+:class:`~repro.obs.timeseries.TimeSeriesDB` (history),
 :class:`~repro.obs.slo.SLOEngine` (burn rates) and
 :class:`~repro.obs.alerts.AlertManager` (damped alerts on an action bus) —
 behind a single ``tick()``: sample the registry, evaluate every objective,
@@ -31,7 +30,7 @@ from pathlib import Path
 
 from .alerts import FIRING, ActionBus, AlertManager, AlertRule
 from .slo import SLO, SLOEngine, SLOStatus, default_serving_slos
-from .timeseries import MetricsSampler, TimeSeriesConfig, TimeSeriesDB
+from .timeseries import TimeSeriesConfig, TimeSeriesDB
 
 __all__ = [
     "DoctorReport",
@@ -72,10 +71,8 @@ class HealthEngine:
         self.log_dir = Path(log_dir) if log_dir is not None else None
         if self.log_dir is not None:
             self.log_dir.mkdir(parents=True, exist_ok=True)
+        self._registry = registry
         self.tsdb = TimeSeriesDB(config=config, clock=clock)
-        self.sampler = MetricsSampler(
-            self.tsdb, registry=registry, interval=interval, clock=clock
-        )
         self.slo_engine = SLOEngine(
             self.tsdb,
             slos if slos is not None else default_serving_slos(),
@@ -104,7 +101,7 @@ class HealthEngine:
     def tick(self, now: float | None = None) -> list[SLOStatus]:
         """One health cycle: sample → evaluate → alert.  Returns statuses."""
         ts = self._clock() if now is None else float(now)
-        self.sampler.tick(now=ts)
+        self.tsdb.sample(self._registry, now=ts)
         self.last_statuses = self.alerts.evaluate(now=ts)
         return self.last_statuses
 

@@ -21,9 +21,9 @@ Design constraints, in order:
   round-trip the full tier structure, so history survives restarts and the
   ``repro doctor`` / ``repro dashboard`` CLIs can analyse a run offline.
 
-:class:`MetricsSampler` drives :meth:`TimeSeriesDB.sample` on a daemon thread
-at a configurable cadence; tests (and anything needing determinism) call
-``sample(now=...)`` directly with an injected clock.
+:class:`~repro.obs.health.HealthEngine` drives :meth:`TimeSeriesDB.sample`
+on its background thread at a configurable cadence; tests (and anything
+needing determinism) call ``sample(now=...)`` directly with an injected clock.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from pathlib import Path
 from .metrics import _label_key, fraction_over, get_registry, quantile_from_buckets
 
 __all__ = [
-    "MetricsSampler",
     "SeriesKey",
     "TimeSeriesConfig",
     "TimeSeriesDB",
@@ -309,72 +308,37 @@ class TimeSeriesDB:
         """Append one point per live registry series; returns series touched.
 
         ``registry`` defaults to the active one; ``now`` defaults to the DB
-        clock (injectable for deterministic tests).  Registries exposing the
-        flat ``read_series()`` view are sampled through it — instrument
-        state is read directly, skipping :meth:`snapshot`'s per-call dict
-        rendering (the sampler may run once per served batch; its cost is
-        serving overhead).  Foreign registry objects without ``read_series``
-        fall back to the ``snapshot()`` exposition format.
+        clock (injectable for deterministic tests).  The registry's flat
+        ``read_series()`` view is read directly, skipping ``snapshot()``'s
+        per-call dict rendering (a health tick may run once per served batch;
+        its cost is serving overhead).
         """
         registry = registry if registry is not None else get_registry()
         ts = self._clock() if now is None else float(now)
-        reader = getattr(registry, "read_series", None)
         touched = 0
-        if reader is not None:
-            with self._lock:
-                for name, kind, label_key, instrument in reader():
-                    key = (name, label_key)
-                    series = self._series.get(key)
-                    if kind == "histogram":
-                        if series is None:
-                            series = _Series(
-                                name, dict(label_key), kind, self.config,
-                                instrument.bounds,
-                            )
-                            self._series[key] = series
-                        series.add_hist(
-                            ts,
-                            instrument.count,
-                            instrument.sum,
-                            list(accumulate(instrument.bucket_counts)),
-                        )
-                    else:
-                        if series is None:
-                            series = _Series(name, dict(label_key), kind, self.config)
-                            self._series[key] = series
-                        series.add_scalar(ts, instrument.value)
-                    touched += 1
-                self.samples_taken += 1
-            return touched
-        snapshot = registry.snapshot()
         with self._lock:
-            for family in snapshot:
-                kind = family["kind"]
-                for rendered in family["series"]:
-                    labels = rendered.get("labels", {})
-                    key = (family["name"], _label_key(labels))
-                    series = self._series.get(key)
-                    if kind == "histogram":
-                        bounds = tuple(
-                            b for b, _ in rendered["buckets"] if b is not None
+            for name, kind, label_key, instrument in registry.read_series():
+                key = (name, label_key)
+                series = self._series.get(key)
+                if kind == "histogram":
+                    if series is None:
+                        series = _Series(
+                            name, dict(label_key), kind, self.config,
+                            instrument.bounds,
                         )
-                        if series is None:
-                            series = _Series(
-                                family["name"], dict(labels), kind, self.config, bounds
-                            )
-                            self._series[key] = series
-                        cumulative = [c for _, c in rendered["buckets"]]
-                        series.add_hist(
-                            ts, rendered["count"], rendered["sum"], cumulative
-                        )
-                    else:
-                        if series is None:
-                            series = _Series(
-                                family["name"], dict(labels), kind, self.config
-                            )
-                            self._series[key] = series
-                        series.add_scalar(ts, rendered["value"])
-                    touched += 1
+                        self._series[key] = series
+                    series.add_hist(
+                        ts,
+                        instrument.count,
+                        instrument.sum,
+                        list(accumulate(instrument.bucket_counts)),
+                    )
+                else:
+                    if series is None:
+                        series = _Series(name, dict(label_key), kind, self.config)
+                        self._series[key] = series
+                    series.add_scalar(ts, instrument.value)
+                touched += 1
             self.samples_taken += 1
         return touched
 
@@ -659,67 +623,3 @@ class TimeSeriesDB:
                     tier.points.append(point)
             db._series[(row["name"], _label_key(row["labels"]))] = series
         return db
-
-
-# --------------------------------------------------------------------------- #
-# Background sampler
-# --------------------------------------------------------------------------- #
-class MetricsSampler:
-    """Daemon thread sampling the registry into a DB every ``interval``s.
-
-    ``tick()`` is the single-step entry point the thread loops over; tests
-    call it directly with a fake ``now`` and never start the thread.  ``stop``
-    is idempotent and takes one final sample so the last partial interval is
-    never lost.
-    """
-
-    def __init__(
-        self,
-        tsdb: TimeSeriesDB,
-        registry=None,
-        interval: float = 1.0,
-        clock=time.time,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.tsdb = tsdb
-        self.interval = interval
-        self._registry = registry
-        self._clock = clock
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.ticks = 0
-
-    def tick(self, now: float | None = None) -> int:
-        registry = self._registry if self._registry is not None else get_registry()
-        touched = self.tsdb.sample(registry, now=now)
-        self.ticks += 1
-        return touched
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.tick()
-
-    def start(self) -> "MetricsSampler":
-        if self._thread is not None:
-            raise RuntimeError("sampler already started")
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-metrics-sampler", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self.tick()
-
-    def __enter__(self) -> "MetricsSampler":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()

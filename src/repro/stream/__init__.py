@@ -9,10 +9,9 @@ what happens *between* retrains:
   columnar NumPy storage, monotone sequence numbers and replay/window
   iterators; the single source of truth for post-snapshot traffic.
 * :mod:`repro.stream.foldin` — incremental user representation updates
-  against the frozen item table: a closed-form ridge solve (and an optional
-  few-step gradient solver on :mod:`repro.nn`) turns an interaction history
-  into a user vector, growing the table for brand-new users and blending
-  decayed updates for existing ones.
+  against the frozen item table: a closed-form ridge solve turns an
+  interaction history into a user vector, growing the table for brand-new
+  users and blending decayed updates for existing ones.
 * :mod:`repro.stream.drift` — popularity-KL, fold-in-residual and
   cold-user-ratio monitors over the stream that emit a typed
   :class:`~repro.stream.drift.RefreshSignal` when a real retrain is due.
@@ -41,7 +40,7 @@ Quickstart::
 
 from .drift import DriftConfig, DriftMetrics, DriftMonitor, RefreshSignal, popularity_kl
 from .events import EventBatch, EventLog, InteractionEvent, WalCorruptionWarning
-from .foldin import FoldInConfig, FoldInResult, fold_in_user, gradient_fold_in, ridge_fold_in
+from .foldin import FoldInConfig, FoldInResult, fold_in_user, ridge_fold_in
 from .simulate import StreamSimulationConfig, StreamSimulationResult, simulate_stream
 from .updater import StreamingUpdater, UpdateReport, live_popularity, merge_into_csr
 
@@ -53,7 +52,6 @@ __all__ = [
     "FoldInConfig",
     "FoldInResult",
     "ridge_fold_in",
-    "gradient_fold_in",
     "fold_in_user",
     "DriftConfig",
     "DriftMetrics",

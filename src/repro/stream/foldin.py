@@ -4,9 +4,9 @@ A batch-trained snapshot freezes both embedding tables; fold-in answers the
 question "what is the best user vector for *this* interaction history, given
 the item table we already have?" without touching the items or retraining.
 
-Two solvers share one objective.  In its full (implicit-feedback ALS) form it
-treats every *non*-interacted item as a weak zero-target negative, which is
-what makes a fold-in vector discriminative rather than merely popular:
+In its full (implicit-feedback ALS) form the objective treats every
+*non*-interacted item as a weak zero-target negative, which is what makes a
+fold-in vector discriminative rather than merely popular:
 
 ``min_u  w0 * sum_{i not in S} (u . v_i)^2
          + (w0 + a) * || V_S u - y ||^2  +  l2 * || u ||^2``
@@ -20,12 +20,9 @@ solve stays ``O(s d^2 + d^3)`` regardless of catalogue size.  With ``w0 = 0``
 (or no Gram supplied) the objective degrades to plain ridge regression on the
 positives.
 
-* :func:`ridge_fold_in` solves the normal equations in closed form — one
-  ``(d, d)`` solve, exact, and fast enough to run thousands of times per
-  second at serving dimensionalities;
-* :func:`gradient_fold_in` runs a few Adam steps on the same loss through
-  :mod:`repro.nn`'s autograd, useful as an anytime/warm-start alternative and
-  as a cross-check that the closed form is the optimum it claims to be.
+:func:`ridge_fold_in` solves the normal equations in closed form — one
+``(d, d)`` solve, exact, and fast enough to run thousands of times per second
+at serving dimensionalities.
 
 Existing (warm) users blend the solve with their trained embedding through a
 decay factor, so graph-propagation signal the solve cannot see is retained.
@@ -42,7 +39,6 @@ __all__ = [
     "FoldInResult",
     "item_gram",
     "ridge_fold_in",
-    "gradient_fold_in",
     "fold_in_user",
 ]
 
@@ -65,8 +61,6 @@ class FoldInConfig:
     ----------
     l2:
         Ridge regularisation strength of the solve.
-    method:
-        ``"ridge"`` (closed form, default) or ``"gradient"`` (Adam steps).
     decay:
         Blend weight of the *solved* vector for users that already have a
         trained embedding: ``u_new = (1 - decay) * u_old + decay * u_solved``.
@@ -77,33 +71,22 @@ class FoldInConfig:
     positive_boost:
         Extra confidence ``a`` on observed interactions relative to the
         implicit negatives.
-    gradient_steps, learning_rate:
-        Budget of the gradient solver (ignored by ridge).
     """
 
     l2: float = 0.1
-    method: str = "ridge"
     decay: float = 0.5
     implicit_weight: float = 1.0
     positive_boost: float = 1.0
-    gradient_steps: int = 50
-    learning_rate: float = 0.1
 
     def __post_init__(self) -> None:
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
-        if self.method not in {"ridge", "gradient"}:
-            raise ValueError("method must be 'ridge' or 'gradient'")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
         if self.implicit_weight < 0:
             raise ValueError("implicit_weight must be non-negative")
         if self.positive_boost <= 0:
             raise ValueError("positive_boost must be positive")
-        if self.gradient_steps <= 0:
-            raise ValueError("gradient_steps must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 @dataclass(frozen=True)
@@ -185,66 +168,6 @@ def ridge_fold_in(
     return solution, residual
 
 
-def gradient_fold_in(
-    item_vectors: np.ndarray,
-    weights: np.ndarray | None = None,
-    l2: float = 0.1,
-    gram: np.ndarray | None = None,
-    implicit_weight: float = 1.0,
-    positive_boost: float = 1.0,
-    steps: int = 50,
-    learning_rate: float = 0.1,
-    init: np.ndarray | None = None,
-) -> tuple[np.ndarray, float]:
-    """Few-step Adam minimisation of the fold-in objective via :mod:`repro.nn`.
-
-    Optimises the *same* objective as :func:`ridge_fold_in` (including the
-    implicit-negative term when ``gram`` is given), starting from ``init`` (or
-    zeros).  Converges to the closed-form solution with enough steps; prefer
-    it when warm-starting from a previous embedding or bounding per-update
-    compute matters more than exactness.
-
-    The loss graph is identical on every iteration (nothing varies but the
-    user vector), so the loop runs through :func:`repro.nn.compile`: the first
-    step traces the objective, the remaining ``steps - 1`` replay it with
-    preallocated buffers.
-    """
-    from ..nn import Adam, Parameter, as_tensor, compile as nn_compile
-
-    item_vectors = np.atleast_2d(np.asarray(item_vectors, dtype=np.float64))
-    count, dim = item_vectors.shape
-    if count == 0:
-        raise ValueError("cannot fold in a user with no interactions")
-    y = _targets(weights, count)
-    w0 = implicit_weight if gram is not None else 0.0
-    start = np.zeros(dim) if init is None else np.asarray(init, dtype=np.float64).copy()
-    user = Parameter(start.reshape(1, dim), name="fold_in_user")
-    matrix = as_tensor(item_vectors)
-    target = as_tensor(y.reshape(count, 1))
-    gram_tensor = as_tensor(np.asarray(gram, dtype=np.float64)) if w0 > 0 else None
-
-    def objective(params, inputs):
-        (vector,) = params
-        predicted = matrix @ vector.transpose()
-        error = predicted - target
-        # w0 Σ_unobs (u·v)² == w0 (u G uᵀ - ||V_S u||²): catalogue quadratic
-        # minus the positives' own contribution.
-        loss = (positive_boost + w0) * (error * error).sum() + l2 * (vector * vector).sum()
-        if gram_tensor is not None:
-            catalogue_quad = ((vector @ gram_tensor) * vector).sum()
-            loss = loss + w0 * (catalogue_quad - (predicted * predicted).sum())
-        return loss
-
-    step = nn_compile(objective)
-    optimiser = Adam([user], lr=learning_rate)
-    for _ in range(steps):
-        step([user], {})
-        optimiser.step()
-    solution = user.data.ravel().copy()
-    residual = float(np.linalg.norm(item_vectors @ solution - y) / np.sqrt(count))
-    return solution, residual
-
-
 def fold_in_user(
     user_id: int,
     item_vectors: np.ndarray,
@@ -264,27 +187,14 @@ def fold_in_user(
     """
     config = config or FoldInConfig()
     item_vectors = np.atleast_2d(np.asarray(item_vectors, dtype=np.float64))
-    if config.method == "gradient":
-        solved, residual = gradient_fold_in(
-            item_vectors,
-            weights=weights,
-            l2=config.l2,
-            gram=gram,
-            implicit_weight=config.implicit_weight,
-            positive_boost=config.positive_boost,
-            steps=config.gradient_steps,
-            learning_rate=config.learning_rate,
-            init=previous,
-        )
-    else:
-        solved, residual = ridge_fold_in(
-            item_vectors,
-            weights=weights,
-            l2=config.l2,
-            gram=gram,
-            implicit_weight=config.implicit_weight,
-            positive_boost=config.positive_boost,
-        )
+    solved, residual = ridge_fold_in(
+        item_vectors,
+        weights=weights,
+        l2=config.l2,
+        gram=gram,
+        implicit_weight=config.implicit_weight,
+        positive_boost=config.positive_boost,
+    )
     was_new = previous is None
     if was_new:
         embedding = solved

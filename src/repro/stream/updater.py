@@ -409,6 +409,11 @@ class StreamingUpdater:
                     np.column_stack([np.full(len(new_items), user, dtype=np.int64), new_items])
                 )
 
+        # The monitor measures against the base snapshot, so one check serves
+        # both reports below.
+        with span("stream.drift_check"):
+            refresh_signal = self.monitor.check()
+
         if not fold_ins:
             self._applied_seq = stop
             self._deferred = deferred
@@ -421,7 +426,7 @@ class StreamingUpdater:
                 mean_residual=0.0,
                 base_snapshot_id=snapshot.snapshot_id,
                 snapshot_id=snapshot.snapshot_id,
-                refresh_signal=self.monitor.check(),
+                refresh_signal=refresh_signal,
                 events_rejected=events_rejected,
                 users_rejected=users_rejected,
             )
@@ -474,7 +479,7 @@ class StreamingUpdater:
             mean_residual=float(np.mean([r.residual for r in fold_ins])),
             base_snapshot_id=snapshot.snapshot_id,
             snapshot_id=delta.snapshot_id,
-            refresh_signal=self.monitor.check(),
+            refresh_signal=refresh_signal,
             fold_ins=tuple(fold_ins),
             events_rejected=events_rejected,
             users_rejected=users_rejected,

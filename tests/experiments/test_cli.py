@@ -167,12 +167,11 @@ class TestStreamingCommands:
 
     def test_stream_simulate_parses(self):
         args = build_parser().parse_args(
-            ["stream-simulate", "--events", "500", "--smoke", "--method", "gradient"]
+            ["stream-simulate", "--events", "500", "--smoke"]
         )
         assert args.command == "stream-simulate"
         assert args.events == 500
         assert args.smoke
-        assert args.method == "gradient"
 
     def test_fold_in_parses(self):
         args = build_parser().parse_args(

@@ -11,7 +11,6 @@ from repro.nn import (
     Dropout,
     Embedding,
     Linear,
-    SGD,
     Sequential,
     Tensor,
     compile as nn_compile,
@@ -142,7 +141,7 @@ class TestLayerEquivalence:
 
 @pytest.mark.parametrize("dtype", DTYPES)
 class TestOptimizerEquivalence:
-    """Whole training trajectories coincide bitwise under both optimisers."""
+    """Whole training trajectories coincide bitwise under Adam."""
 
     def _run(self, dtype, make_optimizer, steps=12):
         def build():
@@ -171,12 +170,6 @@ class TestOptimizerEquivalence:
             assert loss_a == loss_b
         for pa, pb in zip(eager_params, replay_params):
             np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_sgd(self, dtype):
-        self._run(dtype, lambda params: SGD(params, lr=0.05))
-
-    def test_sgd_with_momentum_and_weight_decay(self, dtype):
-        self._run(dtype, lambda params: SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-4))
 
     def test_adam(self, dtype):
         self._run(dtype, lambda params: Adam(params, lr=0.01))

@@ -5,47 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Adam, Linear, Parameter, SGD, Tensor
+from repro.nn import Adam, Linear, Parameter, Tensor
 
 
 def quadratic_loss(param: Parameter) -> Tensor:
     """Simple convex objective (x - 3)^2 summed over all entries."""
     return ((param - 3.0) ** 2).sum()
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param = Parameter(np.zeros(4))
-        optimizer = SGD([param], lr=0.1)
-        for _ in range(200):
-            optimizer.zero_grad()
-            quadratic_loss(param).backward()
-            optimizer.step()
-        np.testing.assert_allclose(param.data, np.full(4, 3.0), atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        def final_distance(momentum: float) -> float:
-            param = Parameter(np.zeros(4))
-            optimizer = SGD([param], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                optimizer.zero_grad()
-                quadratic_loss(param).backward()
-                optimizer.step()
-            return float(np.abs(param.data - 3.0).max())
-
-        assert final_distance(0.9) < final_distance(0.0)
-
-    def test_skips_parameters_without_gradient(self):
-        used = Parameter(np.zeros(2))
-        unused = Parameter(np.ones(2))
-        optimizer = SGD([used, unused], lr=0.1)
-        quadratic_loss(used).backward()
-        optimizer.step()
-        np.testing.assert_allclose(unused.data, np.ones(2))
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, momentum=1.5)
 
 
 class TestAdam:
@@ -93,7 +58,7 @@ class TestAdam:
 class TestOptimizerValidation:
     def test_empty_parameter_list_rejected(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_nonpositive_learning_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -101,4 +66,4 @@ class TestOptimizerValidation:
 
     def test_negative_weight_decay_rejected(self):
         with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(1))], lr=0.1, weight_decay=-1.0)
+            Adam([Parameter(np.zeros(1))], lr=0.1, weight_decay=-1.0)

@@ -7,9 +7,9 @@ import math
 
 import pytest
 
+from repro.obs.health import HealthEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import (
-    MetricsSampler,
     _Tier,
     TimeSeriesConfig,
     TimeSeriesDB,
@@ -194,19 +194,20 @@ class TestPersistence:
 
 
 class TestSampler:
-    def test_manual_ticks_with_fake_clock(self, registry, tsdb, clock):
+    def test_manual_ticks_with_fake_clock(self, registry, clock):
         registry.counter("c", "x").inc()
-        sampler = MetricsSampler(tsdb, registry=registry, clock=clock)
+        engine = HealthEngine(registry=registry, clock=clock)
         clock.advance(1.0)
-        assert sampler.tick() == 1
-        assert sampler.ticks == 1
-        assert tsdb.samples_taken == 1
+        engine.tick()
+        assert len(engine.tsdb) == 1
+        assert engine.tsdb.samples_taken == 1
+        assert engine.tsdb.latest("c") == 1.0
 
     def test_background_thread_samples_and_stop_is_idempotent(self, registry):
-        tsdb = TimeSeriesDB()
         registry.counter("c", "x").inc()
-        sampler = MetricsSampler(tsdb, registry=registry, interval=0.01)
-        with sampler:
+        engine = HealthEngine(registry=registry, interval=0.01)
+        tsdb = engine.tsdb
+        with engine:
             import time
 
             deadline = time.time() + 2.0
@@ -214,12 +215,12 @@ class TestSampler:
                 time.sleep(0.01)
         assert tsdb.samples_taken >= 3
         before = tsdb.samples_taken
-        sampler.stop()  # second stop: no thread, no extra final tick
+        engine.stop()  # second stop: no thread, no extra final tick
         assert tsdb.samples_taken == before
 
     def test_validation(self, tsdb):
         with pytest.raises(ValueError):
-            MetricsSampler(tsdb, interval=0.0)
+            HealthEngine(interval=0.0)
         with pytest.raises(ValueError):
             TimeSeriesConfig(raw_capacity=1)
         with pytest.raises(ValueError):

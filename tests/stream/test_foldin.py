@@ -1,11 +1,11 @@
-"""Fold-in solvers: closed-form correctness, gradient parity, blending."""
+"""Fold-in solver: closed-form correctness, blending, config validation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.stream import FoldInConfig, fold_in_user, gradient_fold_in, ridge_fold_in
+from repro.stream import FoldInConfig, fold_in_user, ridge_fold_in
 from repro.stream.foldin import item_gram
 
 
@@ -75,34 +75,6 @@ class TestRidge:
             ridge_fold_in(items[:3], weights=np.ones(2))
 
 
-class TestGradient:
-    def test_converges_to_ridge_solution(self, items):
-        history = items[:6]
-        exact, _ = ridge_fold_in(history, l2=0.5)
-        approx, _ = gradient_fold_in(history, l2=0.5, steps=800, learning_rate=0.05)
-        np.testing.assert_allclose(approx, exact, atol=5e-3)
-
-    def test_converges_with_implicit_negatives(self, items):
-        history = items[:6]
-        gram = item_gram(items)
-        exact, _ = ridge_fold_in(history, l2=0.5, gram=gram)
-        approx, _ = gradient_fold_in(
-            history, l2=0.5, gram=gram, steps=1500, learning_rate=0.02
-        )
-        np.testing.assert_allclose(approx, exact, atol=5e-3)
-
-    def test_warm_start_accelerates(self, items):
-        history = items[:6]
-        exact, _ = ridge_fold_in(history, l2=0.5)
-        warm, _ = gradient_fold_in(history, l2=0.5, steps=5, learning_rate=0.01, init=exact)
-        cold, _ = gradient_fold_in(history, l2=0.5, steps=5, learning_rate=0.01)
-        assert np.linalg.norm(warm - exact) < np.linalg.norm(cold - exact)
-
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            gradient_fold_in(np.empty((0, 4)))
-
-
 class TestFoldInUser:
     def test_new_user_takes_solution(self, items):
         result = fold_in_user(7, items[:4], config=FoldInConfig(l2=0.3))
@@ -120,11 +92,6 @@ class TestFoldInUser:
         assert not result.was_new
         np.testing.assert_allclose(result.embedding, 0.75 * previous + 0.25 * solved)
 
-    def test_gradient_method_dispatch(self, items):
-        config = FoldInConfig(method="gradient", gradient_steps=5)
-        result = fold_in_user(0, items[:4], config=config)
-        assert result.embedding.shape == (8,)
-
     def test_gram_passthrough(self, items):
         gram = item_gram(items)
         with_gram = fold_in_user(0, items[:4], config=FoldInConfig(), gram=gram)
@@ -137,60 +104,12 @@ class TestConfigValidation:
         "kwargs",
         [
             {"l2": -1.0},
-            {"method": "sgd"},
             {"decay": 0.0},
             {"decay": 1.5},
             {"implicit_weight": -0.1},
             {"positive_boost": 0.0},
-            {"gradient_steps": 0},
-            {"learning_rate": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FoldInConfig(**kwargs)
-
-
-class TestCompiledGradientFoldIn:
-    """gradient_fold_in runs through nn.compile; verify against a hand-rolled
-    eager Adam loop on the same objective."""
-
-    def _eager_reference(self, items, y, l2, gram, w0, boost, steps, lr):
-        from repro.nn import Adam, Parameter, as_tensor
-
-        count, dim = items.shape
-        user = Parameter(np.zeros((1, dim)))
-        matrix = as_tensor(items)
-        target = as_tensor(y.reshape(count, 1))
-        gram_tensor = as_tensor(gram) if gram is not None and w0 > 0 else None
-        optimiser = Adam([user], lr=lr)
-        for _ in range(steps):
-            optimiser.zero_grad()
-            predicted = matrix @ user.transpose()
-            error = predicted - target
-            loss = (boost + (w0 if gram is not None else 0.0)) * (error * error).sum()
-            loss = loss + l2 * (user * user).sum()
-            if gram_tensor is not None:
-                catalogue_quad = ((user @ gram_tensor) * user).sum()
-                loss = loss + w0 * (catalogue_quad - (predicted * predicted).sum())
-            loss.backward()
-            optimiser.step()
-        return user.data.ravel().copy()
-
-    def test_matches_eager_reference_bitwise(self, items):
-        history = items[:7]
-        y = np.ones(7)
-        solution, _ = gradient_fold_in(history, l2=0.3, steps=40, learning_rate=0.05)
-        reference = self._eager_reference(history, y, 0.3, None, 0.0, 1.0, 40, 0.05)
-        np.testing.assert_array_equal(solution, reference)
-
-    def test_matches_eager_reference_with_gram(self, items):
-        history = items[:5]
-        y = np.ones(5)
-        gram = item_gram(items)
-        solution, _ = gradient_fold_in(
-            history, l2=0.3, gram=gram, implicit_weight=0.5, steps=30, learning_rate=0.05
-        )
-        reference = self._eager_reference(history, y, 0.3, gram, 0.5, 1.0, 30, 0.05)
-        np.testing.assert_array_equal(solution, reference)
-

@@ -10,7 +10,6 @@ from repro.serve import IVFIndex, RecommendationService, build_snapshot
 from repro.stream import (
     DriftConfig,
     EventLog,
-    FoldInConfig,
     StreamingUpdater,
     live_popularity,
     merge_into_csr,
@@ -369,7 +368,14 @@ class TestBookkeeping:
 
 
 class TestStageSpans:
-    STAGES = ("stream.drain", "stream.fold_in", "stream.csr_patch", "stream.delta_build", "stream.swap")
+    STAGES = (
+        "stream.drain",
+        "stream.fold_in",
+        "stream.drift_check",
+        "stream.csr_patch",
+        "stream.delta_build",
+        "stream.swap",
+    )
 
     def test_stages_nest_under_apply(self, rig, snapshot):
         service, _, updater = rig
@@ -386,7 +392,12 @@ class TestStageSpans:
         _, _, updater = rig
         with use_tracer(Tracer()) as tracer:
             assert not updater.apply().swapped
-        assert [s.name for s in tracer.spans] == ["stream.drain", "stream.fold_in", "stream.apply"]
+        assert [s.name for s in tracer.spans] == [
+            "stream.drain",
+            "stream.fold_in",
+            "stream.drift_check",
+            "stream.apply",
+        ]
 
 
 class TestIndexReuse:
@@ -486,19 +497,6 @@ class TestLivePopularity:
         recommendation = service.recommend(cold_user)
         assert recommendation.source == "popularity"
         assert recommendation.items[0] == target
-
-    def test_gradient_method_end_to_end(self, snapshot):
-        service = RecommendationService(snapshot, default_k=5)
-        updater = StreamingUpdater(
-            service,
-            EventLog(),
-            fold_in=FoldInConfig(method="gradient", gradient_steps=30),
-        )
-        for item in (1, 2, 3):
-            service.record_interaction(snapshot.num_users, item)
-        report = updater.apply()
-        assert report.users_folded_in == 1
-        assert service.recommend(snapshot.num_users).source == "model"
 
 
 class TestValidation:
