@@ -14,7 +14,7 @@ One :meth:`DaRec.alignment_loss` call implements one iteration of Algorithm 1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -88,22 +88,7 @@ class DaRecConfig:
             if term not in {"orthogonal", "uniformity", "global", "local"}:
                 raise KeyError(f"unknown loss term '{term}'")
             weights[term] = 0.0
-        return DaRecConfig(
-            shared_dim=self.shared_dim,
-            specific_dim=self.specific_dim,
-            hidden_dim=self.hidden_dim,
-            num_centers=self.num_centers,
-            sample_size=self.sample_size,
-            kmeans_iterations=self.kmeans_iterations,
-            matching=self.matching,
-            orthogonal_weight=self.orthogonal_weight,
-            uniformity_weight=self.uniformity_weight,
-            global_weight=self.global_weight,
-            local_weight=self.local_weight,
-            uniformity_target=self.uniformity_target,
-            seed=self.seed,
-            loss_weights=weights,
-        )
+        return replace(self, loss_weights=weights)
 
 
 class DaRec(AlignmentModule):

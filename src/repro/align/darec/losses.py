@@ -10,13 +10,17 @@
 * :func:`local_structure_loss` — Eq. (9)-(10): cosine similarities between the
   (matched) preference centres; diagonal pulled to one, off-diagonal pushed to
   zero.
+
+Each term is one primitive of :mod:`repro.nn.primitives`
+(``squared_cosine_mean``, ``gaussian_potential``, ``similarity_gap``,
+``center_alignment``) with a closed-form VJP, so a training step records one
+tape node per term and modality instead of a chain of small ops.  Every
+kernel normalises rows as ``F.l2_normalize`` does.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ...nn import Tensor, functional as F
+from ...nn import Tensor, as_tensor, functional as F
 
 __all__ = [
     "orthogonality_loss",
@@ -32,18 +36,16 @@ def orthogonality_loss(specific: Tensor, shared: Tensor) -> Tensor:
     """Mean squared cosine similarity between paired specific/shared rows."""
     if specific.shape[0] != shared.shape[0]:
         raise ValueError("specific and shared batches must have the same number of rows")
-    cosine = F.cosine_similarity(specific, shared)
-    return (cosine * cosine).mean()
+    return Tensor._apply("squared_cosine_mean", as_tensor(specific), as_tensor(shared))
 
 
 def pairwise_gaussian_potential(x: Tensor, t: float = 2.0) -> Tensor:
-    """``log E exp(-t ||G(x_i) - G(x_j)||^2)`` over all pairs of rows of ``x``."""
-    normalised = F.l2_normalize(x)
-    squared_norms = (normalised * normalised).sum(axis=1, keepdims=True)
-    distances = squared_norms + squared_norms.T - 2.0 * (normalised @ normalised.T)
-    # Numerical noise can push tiny distances slightly negative.
-    distances = distances.clip(0.0, 4.0)
-    return ((distances * (-t)).exp().mean()).log()
+    """``log E exp(-t ||G(x_i) - G(x_j)||^2)`` over all pairs of rows of ``x``.
+
+    ``G`` projects onto the unit sphere; squared distances are clipped to
+    ``[0, 4]`` (rounding can push a tiny one below zero).
+    """
+    return Tensor._apply("gaussian_potential", as_tensor(x), ctx=(float(t),))
 
 
 def uniformity_loss(collab_specific: Tensor, llm_specific: Tensor, t: float = 2.0) -> Tensor:
@@ -53,27 +55,17 @@ def uniformity_loss(collab_specific: Tensor, llm_specific: Tensor, t: float = 2.
     )
 
 
-def global_structure_loss(collab_shared: Tensor, llm_shared: Tensor, normalise: bool = True) -> Tensor:
+def global_structure_loss(collab_shared: Tensor, llm_shared: Tensor) -> Tensor:
     """Eq. (4)-(5): match the pairwise similarity structure of the shared spaces.
 
-    ``normalise=True`` (default) computes the similarity matrices on
-    L2-normalised rows and divides the Frobenius norm by the number of entries,
-    which keeps the loss scale independent of the N̂ sub-sample size; the
-    un-normalised variant follows the paper's formula verbatim.
+    The paper's formula is ``||S_C - S_L||_F^2`` with ``S = E E^T``.  Here the
+    similarity matrices are computed on L2-normalised rows and the squared
+    Frobenius norm is divided by the number of entries ``N̂^2``, which keeps
+    the loss scale independent of the N̂ sub-sample size.
     """
     if collab_shared.shape[0] != llm_shared.shape[0]:
         raise ValueError("shared representations must cover the same instances")
-    if normalise:
-        collab_shared = F.l2_normalize(collab_shared)
-        llm_shared = F.l2_normalize(llm_shared)
-    sim_collab = collab_shared @ collab_shared.T
-    sim_llm = llm_shared @ llm_shared.T
-    diff = sim_collab - sim_llm
-    frobenius = (diff * diff).sum()
-    if normalise:
-        count = collab_shared.shape[0] * collab_shared.shape[0]
-        return frobenius * (1.0 / count)
-    return frobenius
+    return Tensor._apply("similarity_gap", as_tensor(collab_shared), as_tensor(llm_shared))
 
 
 def center_cosine_matrix(collab_centers: Tensor, llm_centers: Tensor) -> Tensor:
@@ -82,15 +74,11 @@ def center_cosine_matrix(collab_centers: Tensor, llm_centers: Tensor) -> Tensor:
 
 
 def local_structure_loss(collab_centers: Tensor, llm_centers: Tensor) -> Tensor:
-    """Eq. (10): matched centres agree (diagonal → 1), others repel (off-diag → 0)."""
+    """Eq. (10): matched centres agree (diagonal → 1), others repel (off-diag → 0).
+
+    With ``C`` the Eq. (9) cosine matrix of ``k`` centres:
+    ``mean_i (C_ii - 1)^2 + sum_{i≠j} C_ij^2 / (k^2 - k)``.
+    """
     if collab_centers.shape != llm_centers.shape:
         raise ValueError("centre matrices must have identical shapes")
-    k = collab_centers.shape[0]
-    similarity = center_cosine_matrix(collab_centers, llm_centers)
-    eye = np.eye(k)
-    diagonal = (similarity * Tensor(eye)).sum(axis=1)
-    diagonal_term = ((diagonal - 1.0) ** 2).mean()
-    off_diag_mask = Tensor(1.0 - eye)
-    off_count = max(k * k - k, 1)
-    off_diag_term = ((similarity * off_diag_mask) ** 2).sum() * (1.0 / off_count)
-    return diagonal_term + off_diag_term
+    return Tensor._apply("center_alignment", as_tensor(collab_centers), as_tensor(llm_centers))

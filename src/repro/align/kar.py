@@ -62,9 +62,4 @@ class KAR(AlignmentModule):
         """Auxiliary BPR loss computed on the knowledge-augmented scores."""
         users, items = self.backbone.propagate() if tables is None else tables
         users, items = self.transform_representations(users, items)
-        user_vec = users.take_rows(batch.users)
-        pos_vec = items.take_rows(batch.pos_items)
-        neg_vec = items.take_rows(batch.neg_items)
-        pos_scores = (user_vec * pos_vec).sum(axis=1)
-        neg_scores = (user_vec * neg_vec).sum(axis=1)
-        return F.bpr_loss(pos_scores, neg_scores)
+        return F.bpr_loss(users, items, batch.users, batch.pos_items, batch.neg_items)

@@ -109,12 +109,7 @@ class BaseRecommender(Module):
         alignment term; ``None`` propagates here.
         """
         users, items = self.propagate() if tables is None else tables
-        user_vec = users.take_rows(batch.users)
-        pos_vec = items.take_rows(batch.pos_items)
-        neg_vec = items.take_rows(batch.neg_items)
-        pos_scores = (user_vec * pos_vec).sum(axis=1)
-        neg_scores = (user_vec * neg_vec).sum(axis=1)
-        loss = F.bpr_loss(pos_scores, neg_scores)
+        loss = F.bpr_loss(users, items, batch.users, batch.pos_items, batch.neg_items)
         if self.l2_weight:
             # L2 on the batch's layer-0 rows: whole tables, rows weighted by use (replays recount).
             user_counts, item_counts = Tensor.host(self._row_counts, batch.users, batch.pos_items, batch.neg_items)

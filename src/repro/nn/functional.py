@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, _leaf, as_tensor
 
 __all__ = [
     "relu",
@@ -105,9 +105,17 @@ def l2_regularization(pairs: list[tuple[Tensor, Tensor]], batch_size: int) -> Te
     return total * (0.5 / batch_size)
 
 
-def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
-    """Bayesian Personalised Ranking loss (the paper's ``L_base`` for all backbones)."""
-    return softplus(neg_scores - pos_scores).mean()
+def bpr_loss(users: Tensor, items: Tensor, user_ids, pos_ids, neg_ids) -> Tensor:
+    """Bayesian Personalised Ranking loss (the paper's ``L_base`` for all backbones).
+
+    ``mean(softplus(s_neg - s_pos))`` with ``s = <users[u], items[i]>`` over a
+    batch of ``(user, positive, negative)`` ids.  One primitive: it gathers
+    the user rows once and the positive and negative item rows together, and
+    its VJP scatters one gradient per table.  The ids may be arrays or index
+    tensors (a compiled step's inputs); they take no gradient.
+    """
+    ids = [index if isinstance(index, Tensor) else _leaf(index) for index in (user_ids, pos_ids, neg_ids)]
+    return Tensor._apply("bpr_loss", users, items, *ids)
 
 
 def bce_loss(logits: Tensor, labels: np.ndarray | Tensor) -> Tensor:

@@ -32,6 +32,13 @@ parent before it is summed in.
 take their temporaries from :func:`_scratch`, so a replay reuses buffers where
 eager execution allocates.
 
+Composite kernels fold a whole chain into one node: ``l2_normalize`` and one
+op per training loss term (``bpr_loss``, and DaRec's ``squared_cosine_mean``,
+``gaussian_potential``, ``similarity_gap`` and ``center_alignment``).  A loss
+kernel's forward saves the intermediates its VJP needs in ``ws``; in a
+program the VJP reads them back, in eager mode it recomputes them with the
+same calls, so both modes produce the same bits.
+
 The remaining fields are the liveness facts the compile-time fusion planner
 needs: ``elementwise`` (may join an in-place chain), ``reads_output`` (the VJP
 reads ``ans``) and ``reads`` (for each parent position, which parent values
@@ -425,6 +432,13 @@ _def(
 # --------------------------------------------------------------------------- #
 # Composite kernels
 # --------------------------------------------------------------------------- #
+#: The default ``eps`` of ``F.l2_normalize``; the loss kernels normalise rows
+#: (the last axis) exactly as ``F.l2_normalize(x)`` does.
+_UNIT_EPS = np.float64(1e-12)
+#: The ``eps`` of ``Tensor.log``, which ``gaussian_potential`` takes the log with.
+_LOG_EPS = 1e-12
+
+
 def _reduced(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
     """``shape`` with ``axis`` kept as size 1 (a ``keepdims`` reduction's shape)."""
     kept = list(shape)
@@ -432,38 +446,243 @@ def _reduced(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _l2_norm(ctx, ws, x):
+def _buffer(ws: dict | None, key: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array: fresh in eager mode, a kept buffer in a program."""
+    buf = _scratch(ws, key, shape, dtype)
+    return np.empty(shape, dtype) if buf is None else buf
+
+
+def _save(ws: dict | None, values: tuple) -> tuple:
+    """Keep a forward kernel's intermediates for the node's VJP (programs only)."""
+    if ws is not None:
+        ws["saved"] = values
+    return values
+
+
+def _saved(ws: dict | None, state: Callable, ctx: tuple, *xs) -> tuple:
+    """The forward's intermediates: kept in ``ws`` by a replay, recomputed eagerly."""
+    return state(ctx, None, *xs) if ws is None else ws["saved"]
+
+
+def _l2_norm(ws, x, axis: int = -1, eps=_UNIT_EPS, tag: str = "") -> np.ndarray:
     """``(sum(x * x, axis, keepdims) + eps) ** 0.5``, with the unfused chain's NumPy calls.
 
     ``eps`` is a float64 scalar, so float32 rows get a float64 norm, as they
     do when ``+ eps`` adds a constant tensor.  ``np.sqrt`` is the ufunc that
-    ``** 0.5`` dispatches to.
+    ``** 0.5`` dispatches to.  ``tag`` prefixes the scratch keys, so one
+    kernel can normalise two operands.
     """
-    axis, eps = ctx
     reduced = _reduced(x.shape, axis)
-    squares = np.multiply(x, x, out=_scratch(ws, "sq", x.shape, x.dtype))
-    total = np.sum(squares, axis=axis, keepdims=True, out=_scratch(ws, "sum", reduced, x.dtype))
-    norm = np.add(total, eps, out=_scratch(ws, "norm", reduced, np.result_type(x, eps)))
+    squares = np.multiply(x, x, out=_scratch(ws, tag + "sq", x.shape, x.dtype))
+    total = np.sum(squares, axis=axis, keepdims=True, out=_scratch(ws, tag + "sum", reduced, x.dtype))
+    norm = np.add(total, eps, out=_scratch(ws, tag + "norm", reduced, np.result_type(x, eps)))
     return np.sqrt(norm, out=norm)
 
 
-def _l2_normalize_vjp(i, g, ans, ctx, ws, x):
-    out = _like(ws, g)  # (g - y * sum(g * y)) / norm, with y = ans
+def _unit_rows(ws, x, tag: str = "") -> tuple[np.ndarray, np.ndarray]:
+    """``(x / norm, norm)``: the rows of ``x`` on the unit sphere, as ``F.l2_normalize(x)``."""
+    norm = _l2_norm(ws, x, tag=tag)
+    return np.true_divide(x, norm, out=_scratch(ws, tag + "unit", x.shape, np.result_type(x, norm))), norm
+
+
+def _unit_rows_vjp(ws, g, unit, norm, axis: int = -1, tag: str = "") -> np.ndarray:
+    """Pull ``g`` back through ``unit = x / norm``: ``(g - unit * sum(g * unit)) / norm``."""
+    out = _scratch(ws, tag + "g", g.shape, g.dtype)
     dot = np.sum(
-        np.multiply(g, ans, out=out), axis=ctx[0], keepdims=True,
-        out=_scratch(ws, "dot", _reduced(g.shape, ctx[0]), g.dtype),
+        np.multiply(g, unit, out=out), axis=axis, keepdims=True,
+        out=_scratch(ws, tag + "dot", _reduced(g.shape, axis), g.dtype),
     )
-    grad = np.subtract(g, np.multiply(ans, dot, out=out), out=out)
-    return np.true_divide(grad, _l2_norm(ctx, ws, x), out=out)
+    grad = np.subtract(g, np.multiply(unit, dot, out=out), out=out)
+    return np.true_divide(grad, norm, out=out)
 
 
 _def(
     "l2_normalize",  # ctx = (axis, eps as a float64 scalar)
-    lambda ctx, out, ws, x: np.true_divide(x, _l2_norm(ctx, ws, x), out=out),
-    _l2_normalize_vjp,
+    lambda ctx, out, ws, x: np.true_divide(x, _l2_norm(ws, x, *ctx), out=out),
+    lambda i, g, ans, ctx, ws, x: _unit_rows_vjp(ws, g, ans, _l2_norm(ws, x, *ctx), ctx[0]),
     reads_output=True,
     reads=((0,),),
 )
+
+
+# BPR: mean(softplus(s_neg - s_pos)) over a batch of (user, pos, neg) ids.
+def _bpr_state(ctx, ws, users, items, user_ids, pos_ids, neg_ids):
+    """The gathered rows and margins ``s_neg - s_pos``; positives and negatives are one item gather."""
+    batch = len(user_ids)
+    item_ids = np.concatenate((pos_ids, neg_ids), out=_scratch(ws, "ids", (2 * batch,), np.int64))
+    user_rows = np.take(users, user_ids, axis=0)
+    item_rows = np.take(items, item_ids, axis=0).reshape((2, batch, *items.shape[1:]))  # [positives, negatives]
+    dtype = np.result_type(user_rows, item_rows)
+    products = np.multiply(user_rows, item_rows, out=_scratch(ws, "uv", item_rows.shape, dtype))
+    scores = np.sum(products, axis=2, out=_scratch(ws, "scores", (2, batch), dtype))
+    margins = np.subtract(scores[1], scores[0], out=_scratch(ws, "margins", (batch,), dtype))
+    return _save(ws, (user_rows, item_rows, item_ids, margins))
+
+
+def _bpr_forward(ctx, out, ws, *xs):
+    margins = _bpr_state(ctx, ws, *xs)[3]
+    return np.mean(np.logaddexp(0.0, margins, out=_scratch(ws, "softplus", margins.shape, margins.dtype)), out=out)
+
+
+def _bpr_vjp(i, g, ans, ctx, ws, users, items, user_ids, pos_ids, neg_ids):
+    """``dL/dmargin = g * sigmoid(margin) / B``; one row scatter per table."""
+    if i > 1:  # the id operands take no gradient
+        return None
+    user_rows, item_rows, item_ids, margins = _saved(
+        ws, _bpr_state, ctx, users, items, user_ids, pos_ids, neg_ids
+    )
+    weights = _sigmoid(margins, _scratch(ws, "w", margins.shape, margins.dtype))
+    weights = np.multiply(weights, np.true_divide(g, len(margins)), out=weights)[:, None]
+    if i == 0:
+        rows = np.subtract(item_rows[1], item_rows[0], out=_scratch(ws, "du", user_rows.shape, margins.dtype))
+        return scatter_add_rows(user_ids, np.multiply(rows, weights, out=rows), len(users))
+    rows = _buffer(ws, "dv", item_rows.shape, margins.dtype)
+    np.multiply(user_rows, weights, out=rows[1])
+    np.negative(rows[1], out=rows[0])
+    return scatter_add_rows(item_ids.reshape(rows.shape[:2]), rows, len(items))
+
+
+_def("bpr_loss", _bpr_forward, _bpr_vjp, reads=((0, 1, 2, 3, 4), (0, 1, 2, 3, 4)))
+
+
+# Eq. (2): mean over rows of cos(a_i, b_i)^2.
+def _cosine_state(ctx, ws, a, b):
+    unit_a, norm_a = _unit_rows(ws, a, "a")
+    unit_b, norm_b = _unit_rows(ws, b, "b")
+    dtype = np.result_type(unit_a, unit_b)
+    products = np.multiply(unit_a, unit_b, out=_scratch(ws, "ab", unit_a.shape, dtype))
+    cosines = np.sum(products, axis=-1, out=_scratch(ws, "cos", products.shape[:-1], dtype))
+    return _save(ws, (unit_a, norm_a, unit_b, norm_b, cosines))
+
+
+def _cosine_forward(ctx, out, ws, a, b):
+    cosines = _cosine_state(ctx, ws, a, b)[4]
+    return np.mean(np.multiply(cosines, cosines, out=_scratch(ws, "cos2", cosines.shape, cosines.dtype)), out=out)
+
+
+def _cosine_vjp(i, g, ans, ctx, ws, a, b):
+    unit_a, norm_a, unit_b, norm_b, cosines = _saved(ws, _cosine_state, ctx, a, b)
+    scale = np.true_divide(np.multiply(g, 2.0), len(cosines))
+    dcos = np.multiply(cosines, scale, out=_scratch(ws, "dcos", cosines.shape, cosines.dtype))
+    unit, norm, other, tag = (unit_a, norm_a, unit_b, "a") if i == 0 else (unit_b, norm_b, unit_a, "b")
+    dunit = np.multiply(other, dcos[:, None], out=_scratch(ws, tag + "du", other.shape, other.dtype))
+    return _unit_rows_vjp(ws, dunit, unit, norm, tag=tag)
+
+
+_def("squared_cosine_mean", _cosine_forward, _cosine_vjp, reads=((0, 1), (0, 1)))
+
+
+# Eq. (3): log mean_ij exp(-t ||y_i - y_j||^2) over unit rows y, distances clipped to [0, 4].
+def _potential_state(ctx, ws, x):
+    (t,) = ctx
+    unit, norm = _unit_rows(ws, x)
+    n, dtype = len(unit), unit.dtype
+    squared = np.sum(
+        np.multiply(unit, unit, out=_scratch(ws, "uu", unit.shape, dtype)), axis=1, keepdims=True,
+        out=_scratch(ws, "sqn", (n, 1), dtype),
+    )
+    gram = np.matmul(unit, unit.T, out=_scratch(ws, "gram", (n, n), dtype))
+    distances = np.add(squared, squared.T, out=_scratch(ws, "dist", (n, n), dtype))
+    np.subtract(distances, np.multiply(gram, 2.0, out=gram), out=distances)
+    # Rounding can push a distance just below 0; the clip's VJP passes [0, 4] only.
+    inside = np.greater_equal(distances, 0.0, out=_scratch(ws, "in", (n, n), np.bool_))
+    np.bitwise_and(inside, np.less_equal(distances, 4.0, out=_scratch(ws, "in2", (n, n), np.bool_)), out=inside)
+    kernel = np.exp(np.multiply(np.clip(distances, 0.0, 4.0, out=distances), -t, out=distances), out=distances)
+    return _save(ws, (unit, norm, inside, kernel, np.mean(kernel, out=_scratch(ws, "mean", (), dtype))))
+
+
+def _potential_forward(ctx, out, ws, x):
+    mean = _potential_state(ctx, ws, x)[4]
+    return np.log(np.add(mean, _LOG_EPS, out=out), out=out)
+
+
+def _potential_vjp(i, g, ans, ctx, ws, x):
+    (t,) = ctx
+    unit, norm, inside, kernel, mean = _saved(ws, _potential_state, ctx, x)
+    n = len(unit)
+    scale = np.multiply(np.true_divide(np.true_divide(g, np.add(mean, _LOG_EPS)), n * n), -t)
+    ddist = np.multiply(kernel, scale, out=_scratch(ws, "dd", kernel.shape, kernel.dtype))
+    np.multiply(ddist, inside, out=ddist)
+    sym = np.add(ddist, ddist.T, out=_scratch(ws, "sym", ddist.shape, ddist.dtype))
+    dsquared = np.sum(sym, axis=1, keepdims=True, out=_scratch(ws, "dsq", (n, 1), sym.dtype))
+    # distances = |y_i|^2 + |y_j|^2 - 2 y_i.y_j, so dL/dy = 2 (y * dsquared - sym @ y)
+    dunit = np.matmul(sym, unit, out=_scratch(ws, "du", unit.shape, unit.dtype))
+    np.subtract(np.multiply(unit, dsquared, out=_scratch(ws, "ud", unit.shape, unit.dtype)), dunit, out=dunit)
+    return _unit_rows_vjp(ws, np.multiply(dunit, 2.0, out=dunit), unit, norm)
+
+
+_def("gaussian_potential", _potential_forward, _potential_vjp, reads=((0,),))  # ctx = (t,)
+
+
+# Eq. (4)-(5), normalised: |Y_a Y_a^T - Y_b Y_b^T|_F^2 / N^2 over unit rows.
+def _gap_state(ctx, ws, a, b):
+    unit_a, norm_a = _unit_rows(ws, a, "a")
+    unit_b, norm_b = _unit_rows(ws, b, "b")
+    n, dtype = len(unit_a), np.result_type(unit_a, unit_b)
+    gap = np.matmul(unit_a, unit_a.T, out=_scratch(ws, "gap", (n, n), dtype))
+    np.subtract(gap, np.matmul(unit_b, unit_b.T, out=_scratch(ws, "simb", (n, n), dtype)), out=gap)
+    return _save(ws, (unit_a, norm_a, unit_b, norm_b, gap))
+
+
+def _gap_forward(ctx, out, ws, a, b):
+    gap = _gap_state(ctx, ws, a, b)[4]
+    total = np.sum(np.multiply(gap, gap, out=_scratch(ws, "gap2", gap.shape, gap.dtype)))
+    return np.multiply(total, 1.0 / gap.size, out=out)
+
+
+def _gap_vjp(i, g, ans, ctx, ws, a, b):
+    unit_a, norm_a, unit_b, norm_b, gap = _saved(ws, _gap_state, ctx, a, b)
+    scale = np.multiply(np.multiply(g, 1.0 / gap.size), 2.0)
+    dgap = np.multiply(gap, scale, out=_scratch(ws, "dgap", gap.shape, gap.dtype))
+    sym = np.add(dgap, dgap.T, out=_scratch(ws, "sym", gap.shape, gap.dtype))
+    unit, norm, tag = (unit_a, norm_a, "a") if i == 0 else (unit_b, norm_b, "b")
+    dunit = np.matmul(sym, unit, out=_scratch(ws, tag + "du", unit.shape, unit.dtype))
+    if i == 1:  # the second similarity matrix enters with a minus sign
+        np.negative(dunit, out=dunit)
+    return _unit_rows_vjp(ws, dunit, unit, norm, tag=tag)
+
+
+_def("similarity_gap", _gap_forward, _gap_vjp, reads=((0, 1), (0, 1)))
+
+
+# Eq. (10): mean_i (C_ii - 1)^2 + sum_{i != j} C_ij^2 / (k^2 - k), C the centre cosines.
+def _centre_state(ctx, ws, p, q):
+    unit_p, norm_p = _unit_rows(ws, p, "p")
+    unit_q, norm_q = _unit_rows(ws, q, "q")
+    k = len(unit_p)
+    cosines = np.matmul(unit_p, unit_q.T, out=_scratch(ws, "cos", (k, k), np.result_type(unit_p, unit_q)))
+    return _save(ws, (unit_p, norm_p, unit_q, norm_q, cosines))
+
+
+def _off_count(k: int) -> int:
+    return max(k * k - k, 1)
+
+
+def _centre_forward(ctx, out, ws, p, q):
+    cosines = _centre_state(ctx, ws, p, q)[4]
+    k = len(cosines)
+    misses = np.subtract(np.diagonal(cosines), 1.0, out=_scratch(ws, "miss", (k,), cosines.dtype))
+    diagonal_term = np.mean(np.multiply(misses, misses, out=misses))
+    off = np.multiply(cosines, cosines, out=_scratch(ws, "off", cosines.shape, cosines.dtype))
+    np.fill_diagonal(off, 0.0)
+    return np.add(diagonal_term, np.sum(off) * (1.0 / _off_count(k)), out=out)
+
+
+def _centre_vjp(i, g, ans, ctx, ws, p, q):
+    unit_p, norm_p, unit_q, norm_q, cosines = _saved(ws, _centre_state, ctx, p, q)
+    k = len(cosines)
+    off_scale = np.multiply(np.multiply(g, 1.0 / _off_count(k)), 2.0)
+    dcos = np.multiply(cosines, off_scale, out=_scratch(ws, "dcos", cosines.shape, cosines.dtype))
+    diagonal_scale = np.multiply(np.true_divide(g, k), 2.0)
+    np.fill_diagonal(dcos, np.multiply(np.subtract(np.diagonal(cosines), 1.0), diagonal_scale))
+    if i == 0:
+        dunit = np.matmul(dcos, unit_q, out=_scratch(ws, "pdu", unit_p.shape, dcos.dtype))
+        return _unit_rows_vjp(ws, dunit, unit_p, norm_p, tag="p")
+    dunit = np.matmul(dcos.T, unit_p, out=_scratch(ws, "qdu", unit_q.shape, dcos.dtype))
+    return _unit_rows_vjp(ws, dunit, unit_q, norm_q, tag="q")
+
+
+_def("center_alignment", _centre_forward, _centre_vjp, reads=((0, 1), (0, 1)))
 
 
 # --------------------------------------------------------------------------- #

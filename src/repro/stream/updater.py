@@ -458,11 +458,9 @@ class StreamingUpdater:
                 item_popularity=popularity,
                 event_range=(start, stop),
             )
-        index = None
-        if self.reuse_index and delta.item_embeddings is snapshot.item_embeddings:
-            index = self.service.index
         with span("stream.swap"):
-            self.service.swap_snapshot(delta, index=index)
+            reuse = self.reuse_index and delta.item_embeddings is snapshot.item_embeddings
+            self.service.swap_snapshot(delta, index=self.service.index if reuse else None)
 
         # Only a successful swap commits the cursor: if anything above raised,
         # the drained window stays pending and the next apply() retries it
@@ -470,20 +468,21 @@ class StreamingUpdater:
         self._applied_seq = stop
         self._deferred = deferred
 
-        return UpdateReport(
-            events_applied=events_applied,
-            event_range=(start, stop),
-            users_folded_in=len(fold_ins),
-            new_users=sum(1 for r in fold_ins if r.was_new),
-            users_skipped=len(deferred),
-            mean_residual=float(np.mean([r.residual for r in fold_ins])),
-            base_snapshot_id=snapshot.snapshot_id,
-            snapshot_id=delta.snapshot_id,
-            refresh_signal=refresh_signal,
-            fold_ins=tuple(fold_ins),
-            events_rejected=events_rejected,
-            users_rejected=users_rejected,
-        )
+        with span("stream.report"):
+            return UpdateReport(
+                events_applied=events_applied,
+                event_range=(start, stop),
+                users_folded_in=len(fold_ins),
+                new_users=sum(1 for r in fold_ins if r.was_new),
+                users_skipped=len(deferred),
+                mean_residual=float(np.mean([r.residual for r in fold_ins])),
+                base_snapshot_id=snapshot.snapshot_id,
+                snapshot_id=delta.snapshot_id,
+                refresh_signal=refresh_signal,
+                fold_ins=tuple(fold_ins),
+                events_rejected=events_rejected,
+                users_rejected=users_rejected,
+            )
 
     def export_training_table(self, base_table):
         """Base rating table + every applied event: the input to a retrain.

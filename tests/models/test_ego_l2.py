@@ -82,9 +82,12 @@ def test_lightgcn_darec_step_gathers_no_ego_rows(lightgcn_backbone, tiny_semanti
     model = AlignedRecommender(lightgcn_backbone, DaRec(lightgcn_backbone, tiny_semantic, config), trade_off=0.1)
     program, _ = trace_program(model.build_step_fn(), list(model.parameters()), model.make_step_inputs(bpr_batch))
     gathers = [node for node in program.nodes if node.op == "take_rows"]
-    # No gather reads a parameter table: the L2 term reads the ego tables whole.
-    assert all(program.nodes[node.parent_ids[0]].kind != "param" for node in gathers)
+    (bpr,) = [node for node in program.nodes if node.op == "bpr_loss"]
+    # No gather reads a parameter table: the L2 term reads the ego tables
+    # whole, and the BPR term gathers from the propagated user/item tables.
+    tables = [node.parent_ids[0] for node in gathers] + list(bpr.parent_ids[:2])
+    assert all(program.nodes[index].kind != "param" for index in tables)
     # What is left (the user/item split of the propagated table is slices):
-    # the BPR term's user, positive and negative rows, and DaRec's N̂ rows of
-    # E_C and of the semantic table.
-    assert len(gathers) == 5
+    # DaRec's N̂ rows of E_C and of the semantic table; the BPR term's user,
+    # positive and negative rows are gathered inside its one ``bpr_loss`` node.
+    assert len(gathers) == 2

@@ -18,6 +18,12 @@ from repro.nn import (
     trace_program,
 )
 from repro.nn import functional as F
+from repro.align.darec import (
+    global_structure_loss,
+    local_structure_loss,
+    orthogonality_loss,
+    pairwise_gaussian_potential,
+)
 
 import scipy.sparse as sp
 
@@ -224,6 +230,47 @@ class TestPerOpBitIdentity:
 
         inputs_seq = [{"x": RNG.normal(size=X.shape).astype(dtype)} for _ in range(3)]
         run_both_arms(step, make_params_factory(X, dtype=dtype), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_bpr_loss(self, dtype):
+        """Both tables trained, ids re-read every replay, a random upstream gradient."""
+        rng = np.random.default_rng(23)
+        users, items = rng.normal(size=(6, 4)), rng.normal(size=(5, 4))
+
+        def step(p, i):
+            return F.bpr_loss(p[0], p[1], i["users"], i["pos"], i["neg"]) * i["upstream"]
+
+        inputs_seq = [
+            {
+                "users": rng.integers(0, 6, size=9),
+                "pos": rng.integers(0, 5, size=9),
+                "neg": rng.integers(0, 5, size=9),
+                "upstream": np.array(rng.normal(), dtype=dtype),
+            }
+            for _ in range(4)
+        ]
+        run_both_arms(step, make_params_factory(users, items, dtype=dtype), inputs_seq)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize(
+        "loss,arity",
+        [
+            pytest.param(orthogonality_loss, 2, id="squared_cosine_mean"),
+            pytest.param(pairwise_gaussian_potential, 1, id="gaussian_potential"),
+            pytest.param(global_structure_loss, 2, id="similarity_gap"),
+            pytest.param(local_structure_loss, 2, id="center_alignment"),
+        ],
+    )
+    def test_darec_loss_kernel(self, loss, arity, dtype):
+        """DaRec's fused terms: every operand trained, a random upstream gradient."""
+        rng = np.random.default_rng(29)
+        operands = [rng.normal(size=X.shape) for _ in range(arity)]
+
+        def step(p, i):
+            return loss(*p) * i["upstream"]
+
+        inputs_seq = [{"upstream": np.array(rng.normal(), dtype=dtype)} for _ in range(3)]
+        run_both_arms(step, make_params_factory(*operands, dtype=dtype), inputs_seq)
 
 
 class TestGetitemAdvancedIndex:

@@ -117,7 +117,12 @@ class TestFunctionalProperties:
     @SETTINGS
     @given(hnp.arrays(dtype=np.float64, shape=st.integers(1, 32), elements=finite_floats))
     def test_bpr_loss_positive(self, scores):
-        loss = F.bpr_loss(Tensor(scores), Tensor(scores * 0.5)).item()
+        # One-wide tables whose dot products are exactly the scores and half of them.
+        size = len(scores)
+        users = Tensor(np.ones((size, 1)))
+        items = Tensor(np.concatenate([scores, scores * 0.5])[:, None])
+        ids = np.arange(size)
+        loss = F.bpr_loss(users, items, ids, ids, ids + size).item()
         assert loss > 0
 
     @SETTINGS

@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.obs.tracing import Tracer, use_tracer
+from repro.obs.tracing import Tracer, current_span, use_tracer
 from repro.serve import IVFIndex, RecommendationService, build_snapshot
 from repro.stream import (
     DriftConfig,
     EventLog,
     StreamingUpdater,
+    UpdateReport,
     live_popularity,
     merge_into_csr,
 )
+from repro.stream import updater as updater_module
 
 
 @pytest.fixture()
@@ -375,6 +377,7 @@ class TestStageSpans:
         "stream.csr_patch",
         "stream.delta_build",
         "stream.swap",
+        "stream.report",
     )
 
     def test_stages_nest_under_apply(self, rig, snapshot):
@@ -387,6 +390,21 @@ class TestStageSpans:
         children = [s for s in tracer.spans if s.parent_id == apply_span.span_id]
         assert tuple(s.name for s in children) == self.STAGES
         assert all(s.path == ("stream.apply", s.name) for s in children)
+
+    def test_report_is_built_inside_its_stage(self, rig, monkeypatch):
+        """A swapping cycle builds its ``UpdateReport`` under the ``stream.report`` span."""
+        service, _, updater = rig
+        built_in = []
+
+        def report(**fields):
+            built_in.append(current_span().name)
+            return UpdateReport(**fields)
+
+        monkeypatch.setattr(updater_module, "UpdateReport", report)
+        service.record_interaction(3, 1)
+        with use_tracer(Tracer()):
+            assert updater.apply().swapped
+        assert built_in == ["stream.report"]
 
     def test_cycle_without_fold_ins_stops_after_fold_in(self, rig):
         _, _, updater = rig
